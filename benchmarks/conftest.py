@@ -13,9 +13,15 @@ regression artifact.
 
 import json
 import os
+import sys
 import time
 
 import pytest
+
+# The per-shot reference implementations live in tests/reference/, shared
+# by the tier-1 tests and the throughput gates here.
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, "tests"))
 
 FIGURES_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "FIGURES_RUN.json")

@@ -28,7 +28,7 @@ import tracemalloc
 
 import numpy as np
 
-from repro.execution import Executor
+from repro.execution import ExecutionPolicy, Executor
 from repro.qec.bitops import popcount_impl
 from repro.qec.decoders import MWPMDecoder, UnionFindDecoder
 from repro.qec.decoders.base import _dedup_packed
@@ -110,8 +110,8 @@ def test_packed_kernel_speedup(benchmark):
                                       "streaming": ("packed", True)}.items():
         run = run_memory_sampling(graph, MWPMDecoder(graph), SHOTS,
                                   seed=SEED, executor=Executor(use_cache=False),
-                                  parallel="none", kernel=kernel,
-                                  streaming=streaming)
+                                  policy=ExecutionPolicy(parallel="none"),
+                                  kernel=kernel, streaming=streaming)
         counts[mode] = (run.failures, run.total_defects)
 
     print_table(
@@ -160,7 +160,8 @@ def test_streaming_d15_fits_memory_budget():
     start = time.perf_counter()
     run = run_memory_sampling(graph, decoder, STREAM_SHOTS, seed=SEED,
                               executor=Executor(use_cache=False),
-                              parallel="none", streaming=True)
+                              policy=ExecutionPolicy(parallel="none"),
+                              streaming=True)
     seconds = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

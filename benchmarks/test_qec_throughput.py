@@ -12,18 +12,20 @@ recorded to ``BENCH_pr5.json``:
 * **Worker-count determinism** — a harder workload with plentiful failures
   must produce identical failure counts for inline, thread and process
   execution at 1/2/4 workers.
-* **Warm-cache sweep** — re-running a seeded ``logical_error_rate_sweep``
-  against a fresh executor sharing the persistent cache directory must
-  decode **zero** syndromes (counter-proven via ``sampling_stats``).
+* **Warm-cache sweep** — re-running a seeded repetition-code
+  ``logical_error_rate_curve`` against a fresh executor sharing the
+  persistent cache directory must decode **zero** syndromes
+  (counter-proven via ``sampling_stats``).
 """
 
 import json
 import os
 import time
 
+from reference.qec import run_memory_sampling_reference
 from repro.execution import Executor
 from repro.qec import (CliquePredecoder, LookupDecoder, MWPMDecoder,
-                       UnionFindDecoder, logical_error_rate_sweep)
+                       UnionFindDecoder, logical_error_rate_curve)
 from repro.qec.decoders.graph import rotated_surface_code_graph
 from repro.qec.sampling import reset_sampling_stats, sampling_stats
 from repro.qec.surface_memory import SurfaceCodeMemory
@@ -60,13 +62,15 @@ def test_qec_batched_throughput(benchmark):
         rows = {}
         for name, factory in _factories().items():
             batched_memory = SurfaceCodeMemory(graph, factory, seed=SEED)
+            inline = Executor(parallel="none")
             start = time.perf_counter()
-            batched = batched_memory.run(SHOTS, use_cache=False,
-                                         parallel="none")
+            batched = batched_memory.run(SHOTS, executor=inline,
+                                         use_cache=False)
             batched_seconds = time.perf_counter() - start
-            reference_memory = SurfaceCodeMemory(graph, factory, seed=SEED)
+            reference_decoder = factory(graph)
             start = time.perf_counter()
-            reference = reference_memory.run_reference(SHOTS)
+            reference = run_memory_sampling_reference(
+                graph, reference_decoder, SHOTS, seed=SEED)
             reference_seconds = time.perf_counter() - start
             rows[name] = (batched, batched_seconds, reference,
                           reference_seconds)
@@ -113,8 +117,8 @@ def test_qec_worker_count_determinism():
 
     def failures(parallel, workers):
         memory = SurfaceCodeMemory(graph, MWPMDecoder, seed=SEED)
-        outcome = memory.run(2600, executor=Executor(use_cache=False),
-                             parallel=parallel, max_workers=workers)
+        outcome = memory.run(2600, executor=Executor(
+            parallel=parallel, max_workers=workers, use_cache=False))
         return outcome.failures
 
     counts = {
@@ -136,25 +140,25 @@ def test_qec_worker_count_determinism():
 def test_qec_warm_cache_sweep_decodes_nothing(tmp_path):
     """A warm re-run of a seeded sweep performs zero decoder calls."""
     grid = dict(distances=[3, 5], physical_error_rates=[1e-3, 3e-3],
-                shots=1500, seed=SEED)
+                shots=1500, seed=SEED, code="repetition")
     cache_dir = tmp_path / "pr5-cache"
 
     reset_sampling_stats()
     start = time.perf_counter()
-    cold = logical_error_rate_sweep(
+    cold = logical_error_rate_curve(
         executor=Executor(cache_dir=cache_dir), **grid)
     cold_seconds = time.perf_counter() - start
     cold_stats = sampling_stats()
 
     reset_sampling_stats()
     start = time.perf_counter()
-    warm = logical_error_rate_sweep(
+    warm = logical_error_rate_curve(
         executor=Executor(cache_dir=cache_dir), **grid)
     warm_seconds = time.perf_counter() - start
     warm_stats = sampling_stats()
 
     print_table(
-        "warm-cache logical_error_rate_sweep (2 distances x 2 rates, "
+        "warm-cache logical_error_rate_curve (2 distances x 2 rates, "
         "1500 shots/cell)",
         ["pass", "seconds", "syndromes decoded", "shots sampled",
          "cached experiments"],

@@ -5,16 +5,19 @@ signatures as separate ``parallel=`` / ``max_workers=`` keywords, and the
 retry budget and worker count each read their own environment variables at
 their own call sites.  :class:`ExecutionPolicy` folds all of it — fan-out
 mode, worker count, shard broker, retry budget — into one frozen value
-accepted everywhere those keywords are today (``execute``,
-``evaluate_observable``, ``evaluate_sweep``, ``run_memory_sampling``,
-``BackendEnergyEvaluator``, service submit payloads).  The old keywords
-keep working through :meth:`ExecutionPolicy.coerce`, and
+(``execute``, ``evaluate_observable``, ``evaluate_sweep``,
+``BackendEnergyEvaluator``, service submit payloads, and the QEC samplers
+``run_memory_sampling`` / ``run_rare_event_sampling``).  The old keywords
+keep working on the execution layer's entry points through
+:meth:`ExecutionPolicy.coerce`; the QEC layer takes only ``policy=`` (its
+memory-experiment drivers take an ``executor=``, which carries one).
 :meth:`ExecutionPolicy.from_env` is the single reader for the scattered
 ``REPRO_WORKERS`` / ``REPRO_SHARD_*`` / ``REPRO_BROKER_SPOOL`` knobs.
 
 Resolution order (most specific wins):
 
-1. per-call ``parallel=`` / ``max_workers=`` keywords (legacy coercion),
+1. per-call ``parallel=`` / ``max_workers=`` keywords (legacy coercion,
+   execution-layer entry points only),
 2. the per-call ``policy=`` argument,
 3. the executor's constructor policy,
 4. the environment (:meth:`from_env`),

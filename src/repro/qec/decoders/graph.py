@@ -334,3 +334,26 @@ def rotated_surface_code_graph(distance: int, rounds: int,
                                measurement_error_rate, "time",
                                round_index=round_index)
     return graph
+
+
+# ---------------------------------------------------------------------------
+# Code-family names
+# ---------------------------------------------------------------------------
+
+#: Code-family name → graph builder, shared by the memory-experiment drivers
+#: and the job service (``"surface"`` is the service's spelling of the
+#: rotated surface code).
+_CODE_GRAPHS = {
+    "repetition": repetition_code_graph,
+    "surface": rotated_surface_code_graph,
+    "rotated_surface": rotated_surface_code_graph,
+}
+
+
+def _code_graph_builder(code: str):
+    """The graph builder for ``code``; ``ValueError`` on an unknown name."""
+    builder = _CODE_GRAPHS.get(code)
+    if builder is None:
+        raise ValueError(f"unknown code family {code!r} (expected one of "
+                         f"{sorted(_CODE_GRAPHS)})")
+    return builder

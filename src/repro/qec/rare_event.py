@@ -61,18 +61,14 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..execution.broker import make_broker
-from ..execution.sharding import run_sharded, split_evenly
 from .bitops import popcount
-from .decoders.base import (absorb_batch_decode_delta, batch_decode,
-                            batch_decode_delta, batch_decode_packed,
-                            batch_decode_stats,
-                            apply_decoder_counter_delta,
+from .decoders.base import (batch_decode, batch_decode_delta,
+                            batch_decode_packed, batch_decode_stats,
                             decoder_cache_token,
                             decoder_counter_delta, decoder_counter_snapshot)
 from .decoders.graph import DecodingGraph
-from .sampling import (SHOT_BLOCK, SamplingArrays, SeedLike, _note_experiment,
-                       _shot_blocks, as_seed_sequence,
+from .sampling import (SHOT_BLOCK, SamplingArrays, SeedLike, _dispatch_shards,
+                       _note_experiment, _shot_blocks, as_seed_sequence,
                        packed_syndromes_and_flips, resolve_kernel,
                        sampling_arrays, syndromes_and_flips, wilson_interval)
 
@@ -194,11 +190,14 @@ def effective_wilson_interval(estimate: float, variance: float,
     ``[0, 1]`` and honest near zero, exactly like the direct sampler's
     :func:`~repro.qec.sampling.wilson_interval`.  ``tail`` (an upper bound
     on truncation bias, e.g. the skipped stratum mass) widens the upper
-    edge only.
+    edge only.  A zero estimate with positive variance has no effective
+    count (``n_eff = 0``); its upper edge is the normal one, ``z·σ``.
     """
     estimate = float(estimate)
     if variance <= 0.0:
         return (max(0.0, estimate), min(1.0, estimate + tail))
+    if estimate <= 0.0:
+        return (0.0, min(1.0, z * math.sqrt(variance) + float(tail)))
     clipped = min(max(estimate, 1e-300), 1.0 - 1e-12)
     n_eff = clipped * (1.0 - clipped) / float(variance)
     low, high = wilson_interval(estimate * n_eff, n_eff, z=z)
@@ -715,55 +714,6 @@ def _stratum_children(seed_sequence: np.random.SeedSequence,
 
 
 # ---------------------------------------------------------------------------
-# Shard dispatch shared by both phases
-# ---------------------------------------------------------------------------
-
-
-def _dispatch_units(executor, effective, graph, decoder, spec, units, kernel,
-                    fault_reports: list) -> Tuple[List[Dict], int]:
-    """Run ``units`` through the planner / broker seam; returns the
-    per-block results **in unit order** plus the process-shard count."""
-    if not units:
-        return [], 0
-    plan = executor.planner.plan(num_items=len(units), hints=("process",),
-                                 parallel=effective.parallel,
-                                 max_workers=effective.max_workers)
-    if plan.is_parallel:
-        chunks = split_evenly(list(units), plan.workers)
-    else:
-        chunks = [list(units)]
-    payloads = [(graph, decoder, spec.q, chunk, kernel) for chunk in chunks]
-    crosses_processes = (plan.mode == "process" and plan.is_parallel
-                         and len(payloads) > 1)
-
-    def _on_fault(report) -> None:
-        fault_reports.append(report)
-        note = getattr(executor, "note_fault_report", None)
-        if note is not None:
-            note(report)
-
-    broker = None
-    if plan.mode == "process":
-        broker = make_broker(effective.broker, plan.workers)
-    shard_results = run_sharded(plan, _rare_event_shard, payloads,
-                                policy=effective.retry, broker=broker,
-                                on_fault=_on_fault)
-    if crosses_processes:
-        inline_shards = {index for report in fault_reports
-                         for index in getattr(report, "inline_indices", ())}
-        for index, result in enumerate(shard_results):
-            if index in inline_shards:
-                continue
-            absorb_batch_decode_delta(result["decode_delta"])
-            apply_decoder_counter_delta(decoder, result["decoder_delta"])
-        executor.note_process_shards(len(payloads))
-    blocks: List[Dict] = []
-    for result in shard_results:
-        blocks.extend(result["blocks"])
-    return blocks, (len(payloads) if crosses_processes else 0)
-
-
-# ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
@@ -772,8 +722,6 @@ def run_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
                             method: str = "stratified",
                             seed: SeedLike = None,
                             executor=None,
-                            parallel: Optional[str] = None,
-                            max_workers: Optional[int] = None,
                             use_cache: Optional[bool] = None,
                             kernel: Optional[str] = None,
                             policy=None,
@@ -835,15 +783,22 @@ def run_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
             _note_experiment(shots, cached=True, process_shards=0)
             return cached
 
-    effective = executor._resolve_policy(policy, parallel=parallel,
-                                         max_workers=max_workers)
+    effective = executor._resolve_policy(policy)
     fault_reports: list = []
+
+    def dispatch(units) -> Tuple[List[Dict], int]:
+        """Per-block results in unit order, plus the process-shard count."""
+        results, process_shards = _dispatch_shards(
+            executor, effective, _rare_event_shard, units,
+            lambda chunk: (graph, decoder, spec.q, chunk, kernel), decoder,
+            fault_reports)
+        return ([block for result in results for block in result["blocks"]],
+                process_shards)
+
     if spec.method == "importance":
         units = [(None, child, block_shots)
                  for child, block_shots in _shot_blocks(seed_sequence, shots)]
-        blocks, process_shards = _dispatch_units(
-            executor, effective, graph, decoder, spec, units, kernel,
-            fault_reports)
+        blocks, process_shards = dispatch(units)
         estimate, variance, ess, raw, defects = _fold_importance(blocks,
                                                                  shots)
         strata: Tuple[StratumResult, ...] = ()
@@ -853,9 +808,7 @@ def run_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
                        for weight in spec.strata
                        for child, block_shots in _stratum_blocks(
                            children[weight][0], spec.pilot_shots)]
-        pilot_blocks, pilot_shards = _dispatch_units(
-            executor, effective, graph, decoder, spec, pilot_units, kernel,
-            fault_reports)
+        pilot_blocks, pilot_shards = dispatch(pilot_units)
         pilot: Dict[int, Tuple[int, int]] = {w: (0, 0) for w in spec.strata}
         for block in pilot_blocks:
             shots_so_far, failures_so_far = pilot[block["weight"]]
@@ -867,9 +820,7 @@ def run_rare_event_sampling(graph: DecodingGraph, decoder, shots: int, *,
                       for weight in spec.strata
                       for child, block_shots in _stratum_blocks(
                           children[weight][1], allocation[weight])]
-        main_blocks, main_shards = _dispatch_units(
-            executor, effective, graph, decoder, spec, main_units, kernel,
-            fault_reports)
+        main_blocks, main_shards = dispatch(main_units)
         process_shards = pilot_shards + main_shards
         estimate, variance, ess, raw, defects, strata = _fold_strata(
             pilot_blocks + main_blocks, spec)

@@ -46,7 +46,7 @@ import os
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -460,6 +460,65 @@ def _memory_sampling_shard(graph: DecodingGraph, decoder,
 
 
 # ---------------------------------------------------------------------------
+# Shard dispatch (shared with the rare-event estimators)
+# ---------------------------------------------------------------------------
+
+
+def _dispatch_shards(executor, policy, shard, units: Sequence,
+                     payload: Callable[[list], tuple], decoder,
+                     fault_reports: list) -> Tuple[List, int]:
+    """Run ``shard(*payload(chunk))`` over ``units`` through the executor's
+    planner and the policy's broker.
+
+    Units are split into one contiguous chunk per planned worker; shard
+    results come back in unit order together with the number of process
+    shards that crossed a process boundary.  Decode and decoder counter
+    deltas of those shards are folded into this process and ``decoder``;
+    fault reports are appended to ``fault_reports`` and noted on the
+    executor.
+    """
+    if not units:
+        return [], 0
+    plan = executor.planner.plan(num_items=len(units), hints=("process",),
+                                 parallel=policy.parallel,
+                                 max_workers=policy.max_workers)
+    chunks = (split_evenly(list(units), plan.workers) if plan.is_parallel
+              else [list(units)])
+    payloads = [payload(chunk) for chunk in chunks]
+    # run_sharded executes a single payload inline even under a process
+    # plan, in which case the caller's objects were mutated directly and
+    # the returned deltas must NOT be applied a second time.
+    crosses_processes = (plan.mode == "process" and plan.is_parallel
+                         and len(payloads) > 1)
+    reports: list = []
+
+    def _on_fault(report) -> None:
+        reports.append(report)
+        note = getattr(executor, "note_fault_report", None)
+        if note is not None:
+            note(report)
+
+    broker = (make_broker(policy.broker, plan.workers)
+              if plan.mode == "process" else None)
+    results = run_sharded(plan, shard, payloads, policy=policy.retry,
+                          broker=broker, on_fault=_on_fault)
+    fault_reports.extend(reports)
+    if not crosses_processes:
+        return results, 0
+    # Shards the supervisor degraded to inline execution mutated this
+    # process's counters directly — folding their deltas again would
+    # double-count them.
+    inline_shards = {index for report in reports
+                     for index in report.inline_indices}
+    for index, result in enumerate(results):
+        if index not in inline_shards:
+            absorb_batch_decode_delta(result["decode_delta"])
+            apply_decoder_counter_delta(decoder, result["decoder_delta"])
+    executor.note_process_shards(len(payloads))
+    return results, len(payloads)
+
+
+# ---------------------------------------------------------------------------
 # The executor-routed experiment entry point
 # ---------------------------------------------------------------------------
 
@@ -516,8 +575,6 @@ def _chunk_cache_keys(graph: DecodingGraph, decoder_token: tuple,
 def run_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
                         seed: SeedLike = None,
                         executor=None,
-                        parallel: Optional[str] = None,
-                        max_workers: Optional[int] = None,
                         use_cache: Optional[bool] = None,
                         kernel: Optional[str] = None,
                         streaming: bool = False,
@@ -532,9 +589,8 @@ def run_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
     ``executor`` supplies the shard planner, the expectation cache and the
     stats block (default: the process-wide
     :func:`repro.execution.executor.default_executor`); ``policy`` (an
-    :class:`~repro.execution.policy.ExecutionPolicy`) or the legacy
-    ``parallel`` / ``max_workers`` keywords override its fan-out policy —
-    including the shard broker — for this call.
+    :class:`~repro.execution.policy.ExecutionPolicy`) overrides its fan-out
+    policy — including the shard broker — for this call.
 
     ``kernel`` selects the syndrome math (:func:`resolve_kernel`:
     ``"packed"`` bit-packed words by default, ``"dense"`` the legacy
@@ -580,54 +636,14 @@ def run_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
                                from_cache=True)
 
     blocks = _shot_blocks(seed_sequence, shots)
-    effective = executor._resolve_policy(policy, parallel=parallel,
-                                         max_workers=max_workers)
-    plan = executor.planner.plan(num_items=len(blocks), hints=("process",),
-                                 parallel=effective.parallel,
-                                 max_workers=effective.max_workers)
-    if plan.is_parallel:
-        chunks = split_evenly(blocks, plan.workers)
-    else:
-        chunks = [blocks]
-    payloads = [(graph, decoder, chunk, kernel, streaming)
-                for chunk in chunks]
-    # run_sharded executes a single payload inline even under a process
-    # plan, in which case the caller's objects were mutated directly and
-    # the returned deltas must NOT be applied a second time.
-    crosses_processes = (plan.mode == "process" and plan.is_parallel
-                         and len(payloads) > 1)
-
     fault_reports: list = []
-
-    def _on_fault(report) -> None:
-        fault_reports.append(report)
-        note = getattr(executor, "note_fault_report", None)
-        if note is not None:
-            note(report)
-
-    broker = None
-    if plan.mode == "process":
-        broker = make_broker(effective.broker, plan.workers)
-    shard_results = run_sharded(plan, _memory_sampling_shard, payloads,
-                                policy=effective.retry, broker=broker,
-                                on_fault=_on_fault)
-
+    shard_results, process_shards = _dispatch_shards(
+        executor, executor._resolve_policy(policy), _memory_sampling_shard,
+        blocks, lambda chunk: (graph, decoder, chunk, kernel, streaming),
+        decoder, fault_reports)
     failures = sum(result["failures"] for result in shard_results)
     total_defects = sum(result["total_defects"] for result in shard_results)
-    if crosses_processes:
-        # Shards the supervisor degraded to inline execution mutated this
-        # process's counters directly — folding their deltas again would
-        # double-count them.
-        inline_shards = {index for report in fault_reports
-                         for index in report.inline_indices}
-        for index, result in enumerate(shard_results):
-            if index in inline_shards:
-                continue
-            absorb_batch_decode_delta(result["decode_delta"])
-            apply_decoder_counter_delta(decoder, result["decoder_delta"])
-        executor.note_process_shards(len(payloads))
-    _note_experiment(shots, cached=False,
-                     process_shards=len(payloads) if crosses_processes else 0)
+    _note_experiment(shots, cached=False, process_shards=process_shards)
 
     if cacheable:
         executor.cache.put(failures_key, float(failures))
@@ -736,36 +752,3 @@ def stream_memory_sampling(graph: DecodingGraph, decoder, shots: int, *,
     if cacheable:
         executor.cache.put(failures_key, float(failures))
         executor.cache.put(defects_key, float(total_defects))
-
-
-def run_memory_sampling_reference(graph: DecodingGraph, decoder,
-                                  shots: int, *,
-                                  seed: SeedLike = None) -> SamplingRun:
-    """Per-shot reference implementation of :func:`run_memory_sampling`.
-
-    Draws the *identical* per-block error samples (same ``SeedSequence``
-    children, same Bernoulli matrix) but decodes every shot individually
-    through the decoder's ``decode`` — no deduplication, no batching, no
-    caching.  Failure counts are therefore bitwise identical to the batched
-    path; the throughput benchmark gates the batched speedup against this.
-    """
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    seed_sequence, _ = as_seed_sequence(seed)
-    arrays = sampling_arrays(graph)
-    detectors = graph.detector_order()
-    failures = 0
-    total_defects = 0
-    for seed_child, block_shots in _shot_blocks(seed_sequence, shots):
-        rng = np.random.default_rng(seed_child)
-        errors = sample_errors(arrays, block_shots, rng)
-        syndromes, error_flips = syndromes_and_flips(arrays, errors)
-        for row in range(block_shots):
-            defects = [detectors[column]
-                       for column in np.flatnonzero(syndromes[row])]
-            outcome = decoder.decode(defects)
-            failures += int(bool(outcome.flips_logical)
-                            != bool(error_flips[row]))
-            total_defects += len(defects)
-    return SamplingRun(shots=int(shots), failures=failures,
-                       total_defects=total_defects, from_cache=False)

@@ -17,43 +17,25 @@ experiment routed through the execution layer's shard planner and
 expectation cache.  Because errors, syndromes and corrections are all
 expressed on the same :class:`~repro.qec.decoders.graph.DecodingGraph`, any
 decoder implementing the batch protocol can be plugged in and compared —
-which is what the decoder-ablation benchmark does.  The one-shot-at-a-time
-path survives as :meth:`SurfaceCodeMemory.run_trial` (legacy RNG) and
-:meth:`SurfaceCodeMemory.run_reference` (same seeds and samples as
-:meth:`SurfaceCodeMemory.run`, per-shot decoding — bitwise-identical
-failure counts, used by the equivalence tests and the throughput gate).
+which is what the decoder-ablation benchmark does.  The repetition code is
+the same driver over :func:`~repro.qec.decoders.graph.repetition_code_graph`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .decoders.graph import (BOUNDARY, DecodingEdge, DecodingGraph,
+from .decoders.graph import (DecodingGraph, _code_graph_builder,
                              repetition_code_graph,
                              rotated_surface_code_graph)
 from .decoders.mwpm import MWPMDecoder
 from .rare_event import RareEventResult, run_rare_event_sampling
 from .sampling import (SeedLike, binomial_standard_error,
-                       run_memory_sampling, run_memory_sampling_reference,
-                       wilson_interval)
-
-
-@dataclass(frozen=True)
-class MemoryTrialResult:
-    """One Monte-Carlo shot of the memory experiment."""
-
-    num_error_edges: int
-    num_defects: int
-    decoder_flips_logical: bool
-    error_flips_logical: bool
-
-    @property
-    def logical_failure(self) -> bool:
-        return self.decoder_flips_logical != self.error_flips_logical
+                       run_memory_sampling, wilson_interval)
 
 
 @dataclass
@@ -133,8 +115,6 @@ class SurfaceCodeMemory:
     :meth:`run` executes the batched, executor-routed pipeline and is
     deterministic per construction ``seed`` — identical failure counts for
     any worker count, with seeded runs cached in the execution layer.
-    :meth:`run_reference` replays the *same* samples through per-shot
-    decoding, and :meth:`run_trial` keeps the historical one-off sampler.
     """
 
     def __init__(self, graph: DecodingGraph,
@@ -144,11 +124,11 @@ class SurfaceCodeMemory:
         factory = decoder_factory if decoder_factory is not None else MWPMDecoder
         self._decoder = factory(graph)
         self._seed = seed
-        self._rng = np.random.default_rng(seed)
-        # Pre-compute the sampling probability of every elementary mechanism.
-        self._edges = graph.edges
-        self._probabilities = np.array(
-            [1.0 / (1.0 + math.exp(edge.weight)) for edge in self._edges])
+        # Reported as the experiment's physical error rate: the largest
+        # sampling probability of any elementary mechanism.
+        self._physical_error_rate = max(
+            (1.0 / (1.0 + math.exp(edge.weight)) for edge in graph.edges),
+            default=0.0)
 
     @property
     def decoder(self):
@@ -158,52 +138,18 @@ class SurfaceCodeMemory:
     def decoding_graph(self) -> DecodingGraph:
         return self._graph
 
-    # -- sampling (legacy per-shot path) ------------------------------------------
-    def sample_error(self) -> List[DecodingEdge]:
-        """Draw one independent-error sample over all elementary mechanisms."""
-        draws = self._rng.random(len(self._edges))
-        return [edge for edge, draw, probability
-                in zip(self._edges, draws, self._probabilities)
-                if draw < probability]
-
-    @staticmethod
-    def syndrome_of(error_edges: Sequence[DecodingEdge]) -> List:
-        """Detectors flipped an odd number of times by the error edges."""
-        counts: Dict[object, int] = {}
-        for edge in error_edges:
-            for node in (edge.node_a, edge.node_b):
-                if node == BOUNDARY:
-                    continue
-                counts[node] = counts.get(node, 0) + 1
-        return [node for node, count in counts.items() if count % 2]
-
-    # -- running -----------------------------------------------------------------
-    def run_trial(self) -> MemoryTrialResult:
-        """One shot through the legacy sampler (consumes this RNG)."""
-        error_edges = self.sample_error()
-        defects = self.syndrome_of(error_edges)
-        outcome = self._decoder.decode(defects)
-        error_flips = self._graph.correction_flips_logical(error_edges)
-        return MemoryTrialResult(
-            num_error_edges=len(error_edges),
-            num_defects=len(defects),
-            decoder_flips_logical=outcome.flips_logical,
-            error_flips_logical=error_flips)
-
     def _outcome(self, shots: int, failures: int,
                  total_defects: int) -> MemoryExperimentOutcome:
         return MemoryExperimentOutcome(
             code=self._graph.name, distance=self._graph.distance,
             rounds=self._graph.rounds,
-            physical_error_rate=float(self._probabilities.max(initial=0.0)),
+            physical_error_rate=self._physical_error_rate,
             shots=shots, failures=failures,
             decoder_name=getattr(self._decoder, "name",
                                  type(self._decoder).__name__),
             average_defects=total_defects / shots if shots else 0.0)
 
     def run(self, shots: int = 200, *, executor=None,
-            parallel: Optional[str] = None,
-            max_workers: Optional[int] = None,
             use_cache: Optional[bool] = None,
             method: str = "direct",
             **rare_event_options) -> MemoryExperimentOutcome:
@@ -228,8 +174,6 @@ class SurfaceCodeMemory:
                     f"{sorted(rare_event_options)}")
             sampled = run_memory_sampling(self._graph, self._decoder, shots,
                                           seed=self._seed, executor=executor,
-                                          parallel=parallel,
-                                          max_workers=max_workers,
                                           use_cache=use_cache)
             return self._outcome(shots, sampled.failures,
                                  sampled.total_defects)
@@ -240,8 +184,7 @@ class SurfaceCodeMemory:
         rare = run_rare_event_sampling(
             self._graph, self._decoder, shots,
             method=_RARE_METHODS[method], seed=self._seed,
-            executor=executor, parallel=parallel, max_workers=max_workers,
-            use_cache=use_cache, **rare_event_options)
+            executor=executor, use_cache=use_cache, **rare_event_options)
         plain = self._outcome(rare.shots, rare.raw_failures,
                               rare.total_defects)
         return RareEventMemoryOutcome(
@@ -250,19 +193,6 @@ class SurfaceCodeMemory:
             shots=plain.shots, failures=plain.failures,
             decoder_name=plain.decoder_name,
             average_defects=plain.average_defects, rare=rare)
-
-    def run_reference(self, shots: int = 200) -> MemoryExperimentOutcome:
-        """Per-shot decoding of the identical samples :meth:`run` draws.
-
-        Bitwise-identical failure counts to :meth:`run`; linear decoder
-        cost.  The throughput benchmark gates the batched speedup against
-        this path.
-        """
-        if shots < 1:
-            raise ValueError("shots must be positive")
-        sampled = run_memory_sampling_reference(self._graph, self._decoder,
-                                                shots, seed=self._seed)
-        return self._outcome(shots, sampled.failures, sampled.total_defects)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +205,6 @@ def surface_code_memory_experiment(distance: int, physical_error_rate: float,
                                    decoder_factory: Optional[Callable] = None,
                                    seed: SeedLike = 7,
                                    executor=None,
-                                   parallel: Optional[str] = None,
-                                   max_workers: Optional[int] = None,
                                    use_cache: Optional[bool] = None,
                                    method: str = "direct",
                                    **rare_event_options
@@ -289,8 +217,7 @@ def surface_code_memory_experiment(distance: int, physical_error_rate: float,
     rounds = rounds if rounds is not None else distance
     graph = rotated_surface_code_graph(distance, rounds, physical_error_rate)
     memory = SurfaceCodeMemory(graph, decoder_factory, seed=seed)
-    return memory.run(shots, executor=executor, parallel=parallel,
-                      max_workers=max_workers, use_cache=use_cache,
+    return memory.run(shots, executor=executor, use_cache=use_cache,
                       method=method, **rare_event_options)
 
 
@@ -300,8 +227,6 @@ def repetition_code_memory_experiment(distance: int, physical_error_rate: float,
                                       decoder_factory: Optional[Callable] = None,
                                       seed: SeedLike = 7,
                                       executor=None,
-                                      parallel: Optional[str] = None,
-                                      max_workers: Optional[int] = None,
                                       use_cache: Optional[bool] = None,
                                       method: str = "direct",
                                       **rare_event_options
@@ -310,8 +235,7 @@ def repetition_code_memory_experiment(distance: int, physical_error_rate: float,
     rounds = rounds if rounds is not None else distance
     graph = repetition_code_graph(distance, rounds, physical_error_rate)
     memory = SurfaceCodeMemory(graph, decoder_factory, seed=seed)
-    return memory.run(shots, executor=executor, parallel=parallel,
-                      max_workers=max_workers, use_cache=use_cache,
+    return memory.run(shots, executor=executor, use_cache=use_cache,
                       method=method, **rare_event_options)
 
 
@@ -321,8 +245,6 @@ def decoder_comparison(distance: int, physical_error_rate: float,
                        code: str = "rotated_surface",
                        seed: int = 11,
                        executor=None,
-                       parallel: Optional[str] = None,
-                       max_workers: Optional[int] = None,
                        use_cache: Optional[bool] = None
                        ) -> Dict[str, MemoryExperimentOutcome]:
     """Run the same error realizations through several decoders.
@@ -330,17 +252,16 @@ def decoder_comparison(distance: int, physical_error_rate: float,
     All decoders share the code, error rate, shot budget *and* — because
     batched sampling depends only on the graph and the seed — the literal
     error samples, so the comparison is paired shot-for-shot; the returned
-    mapping feeds the decoder-ablation bench.
+    mapping feeds the decoder-ablation bench.  ``code`` is ``"repetition"``,
+    ``"surface"`` or ``"rotated_surface"``; other names raise ``ValueError``.
     """
     rounds = rounds if rounds is not None else distance
-    builder = (rotated_surface_code_graph if code == "rotated_surface"
-               else repetition_code_graph)
+    builder = _code_graph_builder(code)
     results: Dict[str, MemoryExperimentOutcome] = {}
     for name, factory in decoder_factories.items():
         graph = builder(distance, rounds, physical_error_rate)
         memory = SurfaceCodeMemory(graph, factory, seed=seed)
-        results[name] = memory.run(shots, executor=executor, parallel=parallel,
-                                   max_workers=max_workers,
+        results[name] = memory.run(shots, executor=executor,
                                    use_cache=use_cache)
     return results
 
@@ -352,8 +273,6 @@ def logical_error_rate_curve(distances: Sequence[int],
                              decoder_factory: Optional[Callable] = None,
                              seed: int = 3,
                              executor=None,
-                             parallel: Optional[str] = None,
-                             max_workers: Optional[int] = None,
                              use_cache: Optional[bool] = None,
                              method: str = "direct",
                              **rare_event_options
@@ -365,12 +284,12 @@ def logical_error_rate_curve(distances: Sequence[int],
     a warm re-run of the same curve decodes nothing.  ``method="rare-event"``
     estimates every cell with the stratified rare-event sampler — the same
     decode budget then resolves tail cells that direct Monte-Carlo would
-    report as an uninformative zero.
+    report as an uninformative zero.  ``code`` names the code family as in
+    :func:`decoder_comparison`.
     """
     distances = list(distances)
     physical_error_rates = list(physical_error_rates)
-    builder = (rotated_surface_code_graph if code == "rotated_surface"
-               else repetition_code_graph)
+    builder = _code_graph_builder(code)
     children = np.random.SeedSequence(seed).spawn(
         len(distances) * len(physical_error_rates))
     curve: Dict[Tuple[int, float], float] = {}
@@ -379,8 +298,7 @@ def logical_error_rate_curve(distances: Sequence[int],
             child = children[row * len(physical_error_rates) + column]
             graph = builder(distance, distance, error_rate)
             memory = SurfaceCodeMemory(graph, decoder_factory, seed=child)
-            outcome = memory.run(shots, executor=executor, parallel=parallel,
-                                 max_workers=max_workers, use_cache=use_cache,
+            outcome = memory.run(shots, executor=executor, use_cache=use_cache,
                                  method=method, **rare_event_options)
             curve[(distance, float(error_rate))] = outcome.logical_error_rate
     return curve

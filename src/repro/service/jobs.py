@@ -302,23 +302,19 @@ def _prepare_qec_memory(payload: Dict[str, Any]) -> PreparedJob:
 
 def _decode_qec_graph_and_decoder(payload: Dict[str, Any]):
     """The (graph, decoder) pair shared by the QEC job kinds."""
-    from ..qec import repetition_code_graph, rotated_surface_code_graph
+    from ..qec.decoders.graph import _code_graph_builder
     code = payload.get("code", "repetition")
+    try:
+        builder = _code_graph_builder(code)
+    except ValueError as error:
+        raise ProtocolError(str(error)) from None
     distance = int(payload["distance"])
     rounds = int(payload["rounds"])
     error_rate = float(payload["error_rate"])
     measurement_error_rate = payload.get("measurement_error_rate")
     if measurement_error_rate is not None:
         measurement_error_rate = float(measurement_error_rate)
-    if code == "repetition":
-        graph = repetition_code_graph(distance, rounds, error_rate,
-                                      measurement_error_rate)
-    elif code == "surface":
-        graph = rotated_surface_code_graph(distance, rounds, error_rate,
-                                           measurement_error_rate)
-    else:
-        raise ProtocolError(f"unknown code family {code!r} "
-                            f"(expected 'repetition' or 'surface')")
+    graph = builder(distance, rounds, error_rate, measurement_error_rate)
     builder = _DECODER_BUILDERS.get(payload.get("decoder", "mwpm"))
     if builder is None:
         raise ProtocolError(

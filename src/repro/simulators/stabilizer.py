@@ -5,7 +5,7 @@ This is the from-scratch substitute for Stim used by the paper for
 * Clifford-state ("stabilizer proxy") evaluation of 16–100 qubit VQAs
   (Sec. 5.2.2), and
 * deriving error-corrected operation error rates by simulating surface-code
-  circuits (Sec. 5.2.1) — see :mod:`repro.qec.memory_experiment`.
+  circuits (Sec. 5.2.1) — see :mod:`repro.qec.surface_memory`.
 
 The tableau stores ``2n`` rows (n destabilizers followed by n stabilizers)
 with X/Z bit matrices and a sign bit per row.  Since PR 7 the row bits live

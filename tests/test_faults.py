@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.ansatz import FullyConnectedAnsatz
-from repro.execution import Executor
+from repro.execution import ExecutionPolicy, Executor
 from repro.execution.disk_cache import DiskExpectationCache
 from repro.execution.faults import (FAULTS_ENV, FaultInjector, FaultRule,
                                     active_injector, clear_injector,
@@ -314,15 +314,16 @@ class TestExecutorChaos:
     def test_qec_sampling_sigkill_recovers_bitwise(self):
         graph = rotated_surface_code_graph(3, 2, 0.01)
         shots = 2 * SHOT_BLOCK + 17
+        pooled = ExecutionPolicy(parallel="process", max_workers=2)
         clean = run_memory_sampling(graph, MWPMDecoder(graph), shots,
                                     seed=321,
                                     executor=Executor(use_cache=False),
-                                    parallel="process", max_workers=2)
+                                    policy=pooled)
         executor = Executor(use_cache=False)
         with inject_faults("shard.kill=1/1"):
             chaotic = run_memory_sampling(graph, MWPMDecoder(graph), shots,
                                           seed=321, executor=executor,
-                                          parallel="process", max_workers=2)
+                                          policy=pooled)
         assert (chaotic.failures, chaotic.total_defects) \
             == (clean.failures, clean.total_defects)
         assert chaotic.fault_report is not None

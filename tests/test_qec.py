@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from repro.qec import (CultivationFarm, CultivationUnit, FactoryFarm,
-                       LogicalOperationErrorModel, MatchingDecoder,
-                       RepetitionCodeMemory, SurfaceCodePatch,
-                       best_factory_for_budget, get_factory, list_factories,
-                       logical_error_rate, manhattan_distance,
+                       LogicalOperationErrorModel, MWPMDecoder,
+                       SurfaceCodePatch, best_factory_for_budget, get_factory,
+                       list_factories, logical_error_rate,
                        max_factories_fitting, max_units_fitting,
                        minimum_distance_for_target, patches_fitting_budget,
-                       repetition_code_decoder, sequence_length_for_precision,
-                       synthesis_overhead, synthesize_rz, synthesized_circuit,
+                       repetition_code_graph,
+                       repetition_code_memory_experiment,
+                       sequence_length_for_precision, synthesis_overhead,
+                       synthesize_rz, synthesized_circuit,
                        t_count_for_precision)
+from repro.qec.decoders.graph import BOUNDARY
 from repro.circuits.gates import rz_matrix
 from repro.simulators.statevector import circuit_unitary
 
@@ -167,42 +169,42 @@ class TestCliffordTSynthesis:
 
 
 class TestDecoderAndMemory:
-    def test_manhattan_distance(self):
-        assert manhattan_distance((0, 0), (2, 3)) == 5
+    """Matching on the repetition code's decoding graph (MWPM) and the
+    repetition-code memory experiment."""
+
+    @staticmethod
+    def _decoder(distance=9):
+        return MWPMDecoder(repetition_code_graph(distance, 1, 0.01))
 
     def test_two_defects_pair_together(self):
-        decoder = MatchingDecoder()
-        pairs = decoder.decode([(0.0, 0.0), (1.0, 0.0)])
-        assert len(pairs) == 1
-        assert not pairs[0].to_boundary
+        outcome = self._decoder().decode([(0, 0), (1, 0)])
+        assert len(outcome.matched_pairs) == 1
+        assert BOUNDARY not in outcome.matched_pairs[0]
 
-    def test_single_defect_needs_boundary(self):
-        with pytest.raises(ValueError):
-            MatchingDecoder().decode([(0.0, 0.0)])
-        decoder = MatchingDecoder(boundary_fn=lambda d: 1.0)
-        pairs = decoder.decode([(0.0, 0.0)])
-        assert pairs[0].to_boundary
+    def test_single_defect_matches_boundary(self):
+        outcome = self._decoder().decode([(0, 0)])
+        assert outcome.matched_pairs == [((0, 0), BOUNDARY)]
 
     def test_repetition_decoder_prefers_cheap_boundary(self):
-        decoder = repetition_code_decoder(distance=9)
-        # Two far-apart defects each sit next to a boundary: matching to the
-        # boundaries (cost 1 + 1) beats matching them together (cost 7).
-        pairs = decoder.decode([(0.0, 0.0), (7.0, 0.0)])
-        assert all(pair.to_boundary for pair in pairs)
+        # Two far-apart defects each sit next to a boundary: correcting
+        # through the boundaries (cost 1 + 1) beats the chain between them
+        # (cost 7).
+        outcome = self._decoder().decode([(0, 0), (7, 0)])
+        assert all(edge.kind == "boundary" for edge in outcome.correction)
+        assert sorted(edge.data_qubit for edge in outcome.correction) == [0, 8]
 
     def test_memory_experiment_logical_rate_decreases_with_distance(self):
-        rate_small = RepetitionCodeMemory(3, physical_error_rate=0.02,
-                                          seed=5).run(300).logical_error_rate
-        rate_large = RepetitionCodeMemory(9, physical_error_rate=0.02,
-                                          seed=5).run(300).logical_error_rate
+        rate_small = repetition_code_memory_experiment(
+            3, 0.02, shots=300, seed=5).logical_error_rate
+        rate_large = repetition_code_memory_experiment(
+            9, 0.02, shots=300, seed=5).logical_error_rate
         assert rate_large <= rate_small
 
     def test_memory_experiment_zero_noise_never_fails(self):
-        result = RepetitionCodeMemory(5, physical_error_rate=0.0,
-                                      measurement_error_rate=0.0, seed=1).run(50)
-        assert result.logical_failures == 0
+        result = repetition_code_memory_experiment(5, 0.0, shots=50, seed=1)
+        assert result.failures == 0
         assert result.logical_error_per_round == 0.0
 
     def test_memory_experiment_heavy_noise_fails_often(self):
-        result = RepetitionCodeMemory(3, physical_error_rate=0.4, seed=2).run(200)
+        result = repetition_code_memory_experiment(3, 0.4, shots=200, seed=2)
         assert result.logical_error_rate > 0.2

@@ -262,7 +262,8 @@ class TestDeterminism:
             run_rare_event_sampling(graph, MWPMDecoder(graph), 2048,
                                     method=method, seed=71,
                                     executor=_executor(),
-                                    parallel=mode, max_workers=workers)
+                                    policy=ExecutionPolicy(
+                                        parallel=mode, max_workers=workers))
             for mode, workers in (("none", None), ("thread", 2),
                                   ("process", 2), ("process", 4))]
         first = results[0]
@@ -447,6 +448,11 @@ class TestPlumbing:
         assert low3 == low and high3 == pytest.approx(high + 0.5)
         # degenerate variance collapses to the point (plus tail)
         assert effective_wilson_interval(0.25, 0.0) == (0.25, 0.25)
+        # a zero estimate with positive variance has no effective count;
+        # the interval stays finite and inside [0, 1]
+        low, high = effective_wilson_interval(0.0, 1e-20)
+        assert low == 0.0 and 0.0 < high <= 1.0
+        assert effective_wilson_interval(0.0, 1.0, tail=0.5) == (0.0, 1.0)
 
     def test_result_shape(self):
         graph = small_graph()
@@ -544,6 +550,21 @@ class TestServiceJobKind:
         assert partials
         assert all("strata" in partial for partial in partials)
         assert partials[-1]["shots"] == 1024
+
+    def test_zero_estimate_partials_complete(self, tmp_path):
+        """d=5 at p=1e-4: early streamed snapshots estimate exactly zero
+        with positive variance, and the job still runs to completion."""
+        from repro.service import qec_rare_event_payload
+        payload = qec_rare_event_payload(
+            code="surface", distance=5, rounds=5, error_rate=1e-4,
+            decoder="mwpm", shots=2048, seed=111)
+        _, result, events = self._run_prepared(payload, tmp_path)
+        partials = [data for kind, data in events if kind == "partial"]
+        assert any(partial["estimate"] == 0.0 for partial in partials)
+        assert result["shots"] == 2048
+        for low, high in [partial["wilson"] for partial in partials] \
+                + [result["wilson"]]:
+            assert 0.0 <= low <= high <= 1.0
 
     def test_importance_job(self, tmp_path):
         from repro.service import qec_rare_event_payload

@@ -3,9 +3,9 @@
 Covers the four refactor layers:
 
 * the sampling kernel (incidence matmul syndromes, Bernoulli matrix bitwise
-  equal to the legacy per-shot sampler, graph fingerprints);
+  equal to the per-shot reference sampler, graph fingerprints);
 * the ``decode_batch`` protocol (batch-vs-loop bitwise equivalence for all
-  five decoders on randomized graphs, the lookup decoder's vectorized table
+  four decoders on randomized graphs, the lookup decoder's vectorized table
   path, counter semantics);
 * the execution routing (worker-count and inline/thread/process determinism
   of failure counts, process-shard counter fold-back, expectation-cache
@@ -17,7 +17,9 @@ Covers the four refactor layers:
 import numpy as np
 import pytest
 
-from repro.execution import Executor
+from reference.qec import (run_memory_sampling_reference, sample_error_edges,
+                           syndrome_of)
+from repro.execution import ExecutionPolicy, Executor
 from repro.qec.decoders import (CliquePredecoder, LookupDecoder, MWPMDecoder,
                                 UnionFindDecoder, batch_decode_stats,
                                 decoder_cache_token)
@@ -26,38 +28,33 @@ from repro.qec.decoders.base import (apply_decoder_counter_delta,
                                      decoder_counter_snapshot)
 from repro.qec.decoders.graph import (repetition_code_graph,
                                       rotated_surface_code_graph)
-from repro.qec.memory_experiment import (MemoryExperimentResult,
-                                         RepetitionCodeMemory,
-                                         RepetitionMatchingDecoder,
-                                         logical_error_rate_sweep)
 from repro.qec.bitops import unpack_rows
 from repro.qec.sampling import (SHOT_BLOCK, as_seed_sequence,
                                 binomial_standard_error,
                                 logical_flips_of_errors,
                                 packed_syndromes_and_flips,
                                 reset_sampling_stats, resolve_kernel,
-                                run_memory_sampling,
-                                run_memory_sampling_reference, sample_errors,
+                                run_memory_sampling, sample_errors,
                                 sampling_arrays, sampling_stats,
                                 syndromes_of_errors, wilson_interval)
-from repro.qec.surface_memory import (SurfaceCodeMemory,
+from repro.qec.surface_memory import (MemoryExperimentOutcome,
+                                      SurfaceCodeMemory, decoder_comparison,
+                                      logical_error_rate_curve,
                                       surface_code_memory_experiment)
 
 
 def _graph_decoder_factories():
-    """All five decoders of the ablation set, per graph kind."""
+    """All four decoders of the ablation set."""
 
     def lookup(graph):
         return LookupDecoder(graph, max_error_weight=2)
 
-    common = {
+    return {
         "mwpm": MWPMDecoder,
         "union_find": UnionFindDecoder,
         "lookup": lookup,
         "clique_predecoder": CliquePredecoder,
     }
-    repetition_only = {"repetition_matching": RepetitionMatchingDecoder}
-    return common, repetition_only
 
 
 def _random_syndromes(graph, shots, seed, boost=1.0):
@@ -93,20 +90,20 @@ class TestSamplingKernel:
         graph = repetition_code_graph(3, 1, 1e-3)
         assert sampling_arrays(graph) is sampling_arrays(graph)
 
-    def test_bernoulli_matrix_bitwise_matches_legacy_sampler(self):
+    def test_bernoulli_matrix_bitwise_matches_per_shot_sampler(self):
         """rng.random((S, N)) consumes the stream exactly like S sequential
-        rng.random(N) calls, so the kernel and the legacy per-shot sampler
-        draw identical error realizations from the same seed."""
+        rng.random(N) calls, so the kernel and the per-shot reference
+        sampler draw identical error realizations from the same seed."""
         graph = rotated_surface_code_graph(3, 2, 0.03)
         arrays = sampling_arrays(graph)
         errors = sample_errors(arrays, 20, np.random.default_rng(11))
-        legacy = SurfaceCodeMemory(graph, seed=11)
+        rng = np.random.default_rng(11)
         for shot in range(20):
             edge_ids = sorted(edge.identifier
-                              for edge in legacy.sample_error())
+                              for edge in sample_error_edges(graph, rng))
             assert edge_ids == np.flatnonzero(errors[shot]).tolist()
 
-    def test_syndrome_matmul_matches_legacy_syndromes(self):
+    def test_syndrome_matmul_matches_per_shot_syndromes(self):
         graph = rotated_surface_code_graph(3, 2, 0.05)
         arrays = sampling_arrays(graph)
         detectors = graph.detector_order()
@@ -115,7 +112,7 @@ class TestSamplingKernel:
         edges = graph.edges
         for shot in range(40):
             sample = [edges[e] for e in np.flatnonzero(errors[shot])]
-            expected = set(SurfaceCodeMemory.syndrome_of(sample))
+            expected = set(syndrome_of(sample))
             got = {detectors[c] for c in np.flatnonzero(syndromes[shot])}
             assert got == expected
 
@@ -162,19 +159,15 @@ class TestGraphFingerprint:
 
 
 class TestDecodeBatch:
-    @pytest.mark.parametrize("builder,extra", [
-        (lambda: rotated_surface_code_graph(3, 2, 0.02), False),
-        (lambda: repetition_code_graph(5, 2, 0.03), True),
+    @pytest.mark.parametrize("builder", [
+        lambda: rotated_surface_code_graph(3, 2, 0.02),
+        lambda: repetition_code_graph(5, 2, 0.03),
     ])
-    def test_batch_vs_loop_bitwise_for_all_decoders(self, builder, extra):
+    def test_batch_vs_loop_bitwise_for_all_decoders(self, builder):
         graph = builder()
         syndromes = _random_syndromes(graph, 80, seed=5, boost=3.0)
         detectors = graph.detector_order()
-        common, repetition_only = _graph_decoder_factories()
-        factories = dict(common)
-        if extra:
-            factories.update(repetition_only)
-        for name, factory in factories.items():
+        for name, factory in _graph_decoder_factories().items():
             batch = factory(graph).decode_batch(syndromes)
             loop_decoder = factory(graph)
             loop = [bool(loop_decoder.decode(
@@ -261,7 +254,8 @@ class TestShardedDeterminism:
         decoder = MWPMDecoder(graph)
         run = run_memory_sampling(graph, decoder, self.SHOTS, seed=321,
                                   executor=Executor(use_cache=False),
-                                  parallel=parallel, max_workers=workers)
+                                  policy=ExecutionPolicy(
+                                      parallel=parallel, max_workers=workers))
         return run.failures, run.total_defects
 
     def test_failure_counts_identical_across_modes_and_workers(self):
@@ -276,8 +270,9 @@ class TestShardedDeterminism:
         decoder = CliquePredecoder(graph)
         executor = Executor(use_cache=False)
         run_memory_sampling(graph, decoder, self.SHOTS, seed=55,
-                            executor=executor, parallel="process",
-                            max_workers=2)
+                            executor=executor,
+                            policy=ExecutionPolicy(parallel="process",
+                                                   max_workers=2))
         assert executor.stats.process_shards == 2
         # The workers' offload tallies came home across the pickle boundary.
         assert decoder.predecoded_defects + decoder.forwarded_defects > 0
@@ -347,8 +342,6 @@ class TestExperimentCache:
         graph = repetition_code_graph(3, 1, 1e-3)
         with pytest.raises(ValueError):
             run_memory_sampling(graph, MWPMDecoder(graph), 0, seed=1)
-        with pytest.raises(ValueError):
-            run_memory_sampling_reference(graph, MWPMDecoder(graph), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,43 +352,22 @@ class TestExperimentCache:
 class TestBatchedMemoryExperiments:
     def test_surface_run_matches_reference_bitwise(self):
         graph = rotated_surface_code_graph(3, 3, 0.02)
-        common, _ = _graph_decoder_factories()
-        for name, factory in common.items():
+        for name, factory in _graph_decoder_factories().items():
             batched = SurfaceCodeMemory(graph, factory, seed=31).run(
                 300, use_cache=False)
-            reference = SurfaceCodeMemory(graph, factory,
-                                          seed=31).run_reference(300)
+            reference = run_memory_sampling_reference(graph, factory(graph),
+                                                      300, seed=31)
             assert batched.failures == reference.failures, name
             assert batched.average_defects == reference.average_defects
 
     def test_repetition_run_matches_reference_bitwise(self):
         graph = repetition_code_graph(5, 3, 0.03)
-        batched = run_memory_sampling(graph, RepetitionMatchingDecoder(graph),
-                                      280, seed=13,
+        batched = run_memory_sampling(graph, MWPMDecoder(graph), 280,
+                                      seed=13,
                                       executor=Executor(use_cache=False))
-        reference = run_memory_sampling_reference(
-            graph, RepetitionMatchingDecoder(graph), 280, seed=13)
+        reference = run_memory_sampling_reference(graph, MWPMDecoder(graph),
+                                                  280, seed=13)
         assert batched.failures == reference.failures
-
-    def test_repetition_memory_statistics_sane(self):
-        heavy = RepetitionCodeMemory(3, physical_error_rate=0.4,
-                                     seed=2).run(150, use_cache=False)
-        assert heavy.logical_error_rate > 0.2
-        clean = RepetitionCodeMemory(5, physical_error_rate=0.0,
-                                     measurement_error_rate=0.0,
-                                     seed=1).run(50, use_cache=False)
-        assert clean.logical_failures == 0
-
-    def test_repetition_matching_requires_repetition_graph(self):
-        graph = rotated_surface_code_graph(3, 1, 1e-3)
-        with pytest.raises(ValueError):
-            RepetitionMatchingDecoder(graph)
-
-    def test_run_reference_keeps_legacy_per_shot_loop(self):
-        memory = RepetitionCodeMemory(3, physical_error_rate=0.1, seed=3)
-        result = memory.run_reference(40)
-        assert result.shots == 40
-        assert 0 <= result.logical_failures <= 40
 
     def test_plain_decode_only_decoder_still_supported(self):
         """The historical 'any decoder with a decode(defects) method'
@@ -424,6 +396,25 @@ class TestBatchedMemoryExperiments:
         assert not repeat.from_cache  # unknown config is never cached
 
 
+class TestCodeNames:
+    def test_surface_spelling_runs_the_rotated_graph(self):
+        kwargs = dict(shots=64, seed=4, use_cache=False)
+        outcome = decoder_comparison(3, 0.02, {"mwpm": MWPMDecoder},
+                                     code="surface", **kwargs)["mwpm"]
+        assert outcome.code == "rotated_surface"
+        assert logical_error_rate_curve([3], [0.02], code="surface",
+                                        **kwargs) == \
+            logical_error_rate_curve([3], [0.02], code="rotated_surface",
+                                     **kwargs)
+
+    def test_unknown_code_raises(self):
+        with pytest.raises(ValueError, match="unknown code family"):
+            logical_error_rate_curve([3], [0.02], code="bogus", shots=8)
+        with pytest.raises(ValueError, match="unknown code family"):
+            decoder_comparison(3, 0.02, {"mwpm": MWPMDecoder}, shots=8,
+                               code="bogus")
+
+
 class TestSweepSeeding:
     def test_sweep_cells_get_distinct_spawned_seeds(self):
         # The historical derivation seed + d*1000 + int(rate*1e6) collides
@@ -435,19 +426,19 @@ class TestSweepSeeding:
         assert children[0].spawn_key != children[1].spawn_key
 
     def test_sweep_deterministic_and_complete(self):
-        kwargs = dict(shots=120, seed=42, use_cache=False)
-        first = logical_error_rate_sweep([3, 5], [0.003, 0.001], **kwargs)
-        second = logical_error_rate_sweep([3, 5], [0.003, 0.001], **kwargs)
+        kwargs = dict(shots=120, seed=42, code="repetition", use_cache=False)
+        first = logical_error_rate_curve([3, 5], [0.003, 0.001], **kwargs)
+        second = logical_error_rate_curve([3, 5], [0.003, 0.001], **kwargs)
         assert first == second
         assert set(first) == {(3, 0.003), (3, 0.001), (5, 0.003), (5, 0.001)}
 
     def test_warm_sweep_decodes_nothing(self, tmp_path):
         grid = dict(distances=[3, 5], physical_error_rates=[0.005, 0.02],
-                    shots=150, seed=9)
-        cold = logical_error_rate_sweep(
+                    shots=150, seed=9, code="repetition")
+        cold = logical_error_rate_curve(
             executor=Executor(cache_dir=tmp_path), **grid)
         reset_sampling_stats()
-        warm = logical_error_rate_sweep(
+        warm = logical_error_rate_curve(
             executor=Executor(cache_dir=tmp_path), **grid)
         stats = sampling_stats()
         assert warm == cold
@@ -465,7 +456,7 @@ class TestSweepSeeding:
 
     def test_seed_sequence_reuse_is_deterministic(self):
         """A caller's SeedSequence is rebuilt, never spawned from: repeat
-        runs on the same instance (and run vs run_reference) stay bitwise
+        runs on the same instance (and the per-shot reference) stay bitwise
         identical, and a pre-spawned sequence equals a fresh one."""
         graph = rotated_surface_code_graph(3, 2, 0.02)
         shared = np.random.SeedSequence(7)
@@ -473,7 +464,8 @@ class TestSweepSeeding:
         memory = SurfaceCodeMemory(graph, MWPMDecoder, seed=shared)
         first = memory.run(200, use_cache=False)
         second = memory.run(200, use_cache=False)
-        reference = memory.run_reference(200)
+        reference = run_memory_sampling_reference(graph, MWPMDecoder(graph),
+                                                  200, seed=shared)
         fresh = SurfaceCodeMemory(
             graph, MWPMDecoder, seed=np.random.SeedSequence(7)).run(
                 200, use_cache=False)
@@ -496,10 +488,10 @@ class TestUncertainty:
             (0.25 * 0.75 / 200) ** 0.5)
         assert binomial_standard_error(0, 0) == 0.0
 
-    def test_both_result_classes_expose_uncertainty(self):
-        result = MemoryExperimentResult(
-            distance=3, rounds=3, physical_error_rate=1e-3,
-            measurement_error_rate=1e-3, shots=200, logical_failures=8)
+    def test_memory_outcomes_expose_uncertainty(self):
+        result = MemoryExperimentOutcome(
+            code="repetition", distance=3, rounds=3, physical_error_rate=1e-3,
+            shots=200, failures=8, decoder_name="mwpm", average_defects=0.5)
         outcome = surface_code_memory_experiment(3, 0.02, rounds=2, shots=80,
                                                  seed=5, use_cache=False)
         for stats in (result, outcome):
@@ -579,7 +571,9 @@ class TestPackedKernel:
             run = run_memory_sampling(graph, MWPMDecoder(graph), shots,
                                       seed=321,
                                       executor=Executor(use_cache=False),
-                                      parallel=parallel, max_workers=workers,
+                                      policy=ExecutionPolicy(
+                                          parallel=parallel,
+                                          max_workers=workers),
                                       **kwargs)
             return run.failures, run.total_defects
 
