@@ -27,6 +27,13 @@ faster, agree to 1e-10, and score program-cache hits on a repeat sweep.
 The measured rates are written to ``BENCH_pr3.json`` so the performance
 trajectory is recorded per PR.
 
+A fourth comparison gates the density-matrix channel path: a 6-qubit
+depth-1 FCHE circuit under the NISQ noise model, run through
+``DensityMatrixSimulator`` (one channel superoperator per noisy slot)
+against the per-Kraus-operator reference loop in ``tests/reference``.  The
+compiled path must be ≥ 10x faster and agree to 1e-10; the rates go to
+``BENCH_pr13.json``.
+
 Future PRs touching the executor hot path should keep the dedup/cached
 configurations well above the uncached baseline and preserve the grouped
 and batched-sweep speedups.  Set ``REPRO_FULL=1`` for a larger sweep.
@@ -39,13 +46,16 @@ import time
 import numpy as np
 
 from repro.ansatz import FullyConnectedAnsatz
+from repro.core.regimes import NISQRegime
 from repro.execution import ExecutionTask, Executor
 from repro.operators import ising_hamiltonian
+from repro.simulators.density_matrix import DensityMatrixSimulator
 from repro.simulators.kernels import statevector_term_expectations
 from repro.simulators.program import run_interpreted
 from repro.simulators.statevector import StatevectorSimulator
 
 from conftest import full_mode, print_table
+from reference.density_matrix import naive_density_matrix_run
 
 NUM_QUBITS = 12
 SWEEP_POINTS = 24 if full_mode() else 8
@@ -55,6 +65,10 @@ GROUPED_POINTS = 8 if full_mode() else 4
 COMPILED_SWEEP_STEPS = 30
 BENCH_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "BENCH_pr3.json")
+#: The density-matrix channel gate: the noisy-DM re-score size of Fig. 13.
+DM_QUBITS = 6
+DM_BENCH_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "BENCH_pr13.json")
 
 
 def build_tasks():
@@ -299,3 +313,57 @@ def test_grouped_observable_throughput(benchmark):
     assert invocations == GROUPED_POINTS
     assert worst_gap < 1e-10
     assert speedup >= 3.0
+
+
+def run_density_matrix_channel_comparison():
+    """Superoperator programs vs the per-Kraus-operator reference loop."""
+    template = FullyConnectedAnsatz(DM_QUBITS, depth=1).build()
+    rng = np.random.default_rng(13)
+    circuit = template.bind_parameters(list(rng.uniform(
+        -np.pi, np.pi, len(template.ordered_parameters()))))
+    noise = NISQRegime().noise_model()
+    simulator = DensityMatrixSimulator(noise)
+    # Interleaved best-of timings: a load spike on a shared box hits both
+    # paths alike instead of skewing the ratio.
+    compiled_time = reference_time = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        reference = naive_density_matrix_run(noise, circuit)
+        reference_time = min(reference_time, time.perf_counter() - start)
+        for _ in range(3):
+            start = time.perf_counter()
+            compiled = simulator.run(circuit).data
+            compiled_time = min(compiled_time, time.perf_counter() - start)
+    worst_gap = float(np.max(np.abs(compiled - reference)))
+    return compiled_time, reference_time, worst_gap
+
+
+def test_density_matrix_channels(benchmark):
+    compiled_time, reference_time, worst_gap = benchmark.pedantic(
+        run_density_matrix_channel_comparison, rounds=1, iterations=1)
+    speedup = reference_time / compiled_time
+    print_table(
+        f"density-matrix channels ({DM_QUBITS}-qubit FCHE, NISQ noise, "
+        f"speedup {speedup:.1f}x)",
+        ["path", "runs/sec"],
+        [("Kraus reference loop", f"{1 / reference_time:.1f}"),
+         ("compiled superoperators", f"{1 / compiled_time:.1f}")])
+    assert worst_gap < 1e-10
+    assert speedup >= 10.0
+
+    record = {
+        "pr": 13,
+        "benchmark": "density-matrix channel superoperators",
+        "workload": {"num_qubits": DM_QUBITS,
+                     "ansatz": "FullyConnectedAnsatz(depth=1)",
+                     "noise_model": "NISQRegime()"},
+        "runs_per_sec": {"kraus_reference": 1 / reference_time,
+                         "compiled": 1 / compiled_time},
+        "speedup": speedup,
+        "max_rho_gap": worst_gap,
+    }
+    if os.environ.get("REPRO_RECORD_BENCH") or not os.path.exists(
+            DM_BENCH_JSON):
+        with open(DM_BENCH_JSON, "w") as handle:
+            json.dump(record, handle, indent=2, sort_keys=True)
+            handle.write("\n")

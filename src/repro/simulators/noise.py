@@ -60,7 +60,14 @@ class QuantumChannel:
         self._kraus = ops
         self._dim = dim
         self.name = name
+        self._superoperator: Optional[np.ndarray] = None
         self._validate()
+
+    def __getstate__(self):
+        # The superoperator memo is derived data: leaving it out keeps a
+        # pickled payload (and the shard broker's digest of it) the same
+        # whether or not the memo was filled.
+        return {**self.__dict__, "_superoperator": None}
 
     def _validate(self, atol: float = 1e-8) -> None:
         total = sum(op.conj().T @ op for op in self._kraus)
@@ -83,6 +90,22 @@ class QuantumChannel:
         for op in self._kraus:
             out += op @ rho @ op.conj().T
         return out
+
+    def superoperator(self) -> np.ndarray:
+        """The ``dim² × dim²`` matrix ``S = Σ_k K_k ⊗ conj(K_k)`` (read-only).
+
+        ``S`` acts on the row-major flattening of ρ: ``vec(K ρ K†) =
+        (K ⊗ conj(K)) vec(ρ)``, so the whole channel is one matrix product
+        and composition is a matrix product too — ``a.compose(b)`` has
+        superoperator ``a.superoperator() @ b.superoperator()``.  Memoized on
+        the channel, so every program compiled against one channel shares
+        the same array.
+        """
+        if self._superoperator is None:
+            superop = sum(np.kron(op, op.conj()) for op in self._kraus)
+            superop.setflags(write=False)
+            self._superoperator = superop
+        return self._superoperator
 
     def compose(self, other: "QuantumChannel") -> "QuantumChannel":
         """Channel composition ``self ∘ other`` (other applied first)."""

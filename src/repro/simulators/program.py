@@ -14,9 +14,10 @@ sweep in one NumPy pass:
   compile time) and lowers diagonal gates (``rz``/``cz``/``rzz``/``z``/``s``/
   ``t``/…) to elementwise phase vectors instead of tensordots.  Compiling
   with a :class:`~repro.simulators.noise.NoiseModel` produces the
-  density-matrix program: layer-ordered ops with one **pre-merged** Kraus
-  channel per noisy slot plus idle/readout channel ops (fusion is skipped so
-  channels keep their exact positions).
+  density-matrix program: layer-ordered ops with one **superoperator**
+  (``Σ K⊗K̄``, the gate's channels multiplied together) per noisy slot plus
+  idle/readout channel ops (fusion is skipped so channels keep their exact
+  positions).
 * **cache** — programs are cached by ``circuit.fingerprint()`` (+ the noise
   model's identity and mutation ``version``), so optimizer re-queries and
   repeated executor traffic skip compilation entirely.
@@ -41,6 +42,7 @@ Example::
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import OrderedDict
@@ -51,7 +53,7 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.gates import DIAGONAL_GATE_NAMES, parametric_matrix
 from ..circuits.parameters import Parameter, ParameterExpression
-from .noise import NoiseModel, QuantumChannel, RESET_CHANNEL, bit_flip_channel
+from .noise import NoiseModel, RESET_CHANNEL, bit_flip_channel
 
 __all__ = [
     "CompiledOp",
@@ -73,12 +75,19 @@ OP_UNITARY = "unitary"          # dense k-qubit matrix, tensor contraction
 OP_DIAG = "diag"                # k-qubit diagonal, elementwise phase multiply
 OP_PERM = "perm"                # monomial matrix (CX/SWAP/X/...), index gather
 OP_RESET = "reset"              # projective reset to |0> (stochastic on kets)
-OP_CHANNEL = "channel"          # Kraus channel (density-matrix programs)
+OP_CHANNEL = "channel"          # channel superoperator (density-matrix programs)
 OP_MEASURE_NOISE = "measure_noise"  # readout flip channel, applied on demand
 
 #: Above this qubit count the per-op full-index gather tables of the
 #: permutation fast path (O(2^n) int64 entries) cost more than they save.
 _MAX_PERM_QUBITS = 20
+
+#: Multiply-adds per GEMM call in the superoperator applier.  OpenBLAS
+#: (0.3.31, measured) hands complex GEMMs of 65536 multiply-adds and more
+#: to its thread pool, which on small density matrices doubles the CPU time
+#: for no wall-clock gain; smaller blocks keep every call on the calling
+#: thread.
+_SUPEROP_BLOCK_WORK = 1 << 15
 
 
 def _diag_vector(matrix: np.ndarray) -> np.ndarray:
@@ -200,8 +209,10 @@ class CompiledOp:
 
     ``data`` depends on ``kind``: the dense matrix (:data:`OP_UNITARY`), the
     broadcast-shaped phase tensor (:data:`OP_DIAG`), a ``(columns, phases)``
-    pair over the small ``2^k`` index space (:data:`OP_PERM`), the
-    Kraus-operator list (:data:`OP_CHANNEL` / :data:`OP_MEASURE_NOISE`) or
+    pair over the small ``2^k`` index space (:data:`OP_PERM`), the channel's
+    ``(4^k, 4^k)`` superoperator (:data:`OP_CHANNEL` /
+    :data:`OP_MEASURE_NOISE`, see
+    :meth:`~repro.simulators.noise.QuantumChannel.superoperator`) or
     ``None`` (:data:`OP_RESET`).  ``factors`` (gate ops only) records the
     constituent instructions so parametric ops can be rebuilt on bind;
     ``data is None`` marks an op still awaiting parameter binding.
@@ -389,8 +400,9 @@ class CompiledProgram:
         """Execute on a density matrix; returns the final ``2^n × 2^n`` ρ.
 
         Unitaries are applied as conjugations (diagonal ops as row/column
-        phase multiplies), channels as pre-merged Kraus sums.
-        :data:`OP_MEASURE_NOISE` ops fire only when ``apply_measure_noise``.
+        phase multiplies); channels, resets and readout flips each as one
+        superoperator contraction.  :data:`OP_MEASURE_NOISE` ops fire only
+        when ``apply_measure_noise``.
         """
         n = self.num_qubits
         dim = 1 << n
@@ -412,7 +424,7 @@ class CompiledProgram:
             elif op.kind == OP_CHANNEL:
                 rho = _dm_apply_channel(rho, op.data, op.qubits, n)
             elif op.kind == OP_RESET:
-                rho = _dm_apply_channel(rho, RESET_CHANNEL.kraus_operators,
+                rho = _dm_apply_channel(rho, RESET_CHANNEL.superoperator(),
                                         op.qubits, n)
             elif op.kind == OP_MEASURE_NOISE:
                 if apply_measure_noise:
@@ -532,17 +544,38 @@ def _dm_apply_diag(rho: np.ndarray, diag_tensor: np.ndarray,
     return tensor.reshape(dim, dim)
 
 
-def _dm_apply_channel(rho: np.ndarray, kraus_operators: Sequence[np.ndarray],
+def _dm_apply_channel(rho: np.ndarray, superop: np.ndarray,
                       qubits: Tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """ρ → Σ K ρ K† as one contraction with the superoperator ``Σ K⊗K̄``.
+
+    The target row and column axes move to the end, so ρ becomes a
+    ``(4^(n-k), 4^k)`` matrix whose rows are local ``vec(ρ)`` blocks; one
+    product with ``superop.T`` maps them all, in row blocks small enough
+    that BLAS stays on the calling thread.
+    """
     dim = 1 << num_qubits
+    order, inverse = _channel_axes(qubits, num_qubits)
+    moved = rho.reshape([2] * (2 * num_qubits)).transpose(order)
+    local = superop.shape[0]
+    flat = moved.reshape(-1, local)
+    out = np.empty_like(flat)
+    transposed = superop.T
+    step = max(1, _SUPEROP_BLOCK_WORK // (local * local))
+    for start in range(0, len(flat), step):
+        np.matmul(flat[start:start + step], transposed,
+                  out=out[start:start + step])
+    return out.reshape(moved.shape).transpose(inverse).reshape(dim, dim)
+
+
+@functools.lru_cache(maxsize=None)
+def _channel_axes(qubits: Tuple[int, ...], num_qubits: int
+                  ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Transpose orders that move an op's row and column axes last, and back."""
     row_axes, col_axes = _dm_axes(qubits, num_qubits)
-    accumulated = np.zeros((dim, dim), dtype=complex)
-    for kraus in kraus_operators:
-        tensor = rho.reshape([2] * (2 * num_qubits))
-        tensor = _dm_apply_matrix(tensor, kraus, row_axes)
-        tensor = _dm_apply_matrix(tensor, kraus.conj(), col_axes)
-        accumulated += tensor.reshape(dim, dim)
-    return accumulated
+    targets = row_axes + col_axes
+    order = [axis for axis in range(2 * num_qubits)
+             if axis not in targets] + targets
+    return tuple(order), tuple(int(axis) for axis in np.argsort(order))
 
 
 # ---------------------------------------------------------------------------
@@ -667,14 +700,6 @@ def _try_fuse(previous: CompiledOp, new: CompiledOp,
     return CompiledOp(OP_UNITARY, new.qubits, left @ right, factors)
 
 
-def _merged_channel(channels: List[QuantumChannel]) -> QuantumChannel:
-    """Compose a gate's channel list into one per-slot channel."""
-    merged = channels[0]
-    for channel in channels[1:]:
-        merged = channel.compose(merged)
-    return merged
-
-
 def _compile_noiseless(circuit: QuantumCircuit, fuse: bool
                        ) -> List[CompiledOp]:
     """Instruction-order lowering: fusion + diagonal fast path, no channels."""
@@ -701,17 +726,18 @@ def _compile_noisy(circuit: QuantumCircuit,
                    noise_model: NoiseModel) -> List[CompiledOp]:
     """Layer-order lowering mirroring ``DensityMatrixSimulator.run``.
 
-    Fusion is skipped: every unitary keeps its exact position so its
-    pre-merged noise channel lands where the interpreted loop put it.  Idle
-    channels are appended per layer, readout flips become
-    :data:`OP_MEASURE_NOISE` ops the executor applies on demand.
+    Fusion is skipped: every unitary keeps its exact position so its noise
+    lands where the interpreted loop put it.  A gate's channels become one
+    superoperator, their product with the first-applied channel rightmost.
+    Idle channels are appended per layer, readout flips become
+    :data:`OP_MEASURE_NOISE` ops the executor applies on demand.  Idle
+    channels and single-channel gates use the channel's memoized
+    superoperator array, shared by every program compiled against it.
     """
     num_qubits = circuit.num_qubits
     idle_channel = noise_model.idle_channel
-    merged_cache: Dict[str, Optional[QuantumChannel]] = {}
-    readout = None
-    if noise_model.readout_error > 0:
-        readout = bit_flip_channel(noise_model.readout_error)
+    merged_cache: Dict[str, Optional[np.ndarray]] = {}
+    readout = None  # built on the first measurement
     ops: List[CompiledOp] = []
     for layer in circuit.layers():
         busy: set = set()
@@ -719,27 +745,31 @@ def _compile_noisy(circuit: QuantumCircuit,
             busy.update(inst.qubits)
             name = inst.name
             if name == "measure":
-                if readout is not None:
+                if noise_model.readout_error > 0:
+                    if readout is None:
+                        readout = bit_flip_channel(
+                            noise_model.readout_error).superoperator()
                     ops.append(CompiledOp(OP_MEASURE_NOISE, inst.qubits,
-                                          readout.kraus_operators))
+                                          readout))
                 continue
             if name == "reset":
                 ops.append(CompiledOp(OP_RESET, inst.qubits, None))
                 continue
             ops.append(_make_gate_op(inst, num_qubits))
             if name not in merged_cache:
-                channels = noise_model.gate_channels(name)
-                merged_cache[name] = (_merged_channel(channels)
-                                      if channels else None)
+                merged = None
+                for channel in noise_model.gate_channels(name):
+                    superop = channel.superoperator()
+                    merged = superop if merged is None else superop @ merged
+                merged_cache[name] = merged
             merged = merged_cache[name]
             if merged is not None:
-                ops.append(CompiledOp(OP_CHANNEL, inst.qubits,
-                                      merged.kraus_operators))
+                ops.append(CompiledOp(OP_CHANNEL, inst.qubits, merged))
         if idle_channel is not None:
-            idle_kraus = idle_channel.kraus_operators
+            idle = idle_channel.superoperator()
             for qubit in range(num_qubits):
                 if qubit not in busy:
-                    ops.append(CompiledOp(OP_CHANNEL, (qubit,), idle_kraus))
+                    ops.append(CompiledOp(OP_CHANNEL, (qubit,), idle))
     return ops
 
 
@@ -820,15 +850,18 @@ def compile_circuit(circuit: QuantumCircuit,
     Without a noise model the program is the statevector fast path:
     instruction-ordered, adjacent same-qubit unitaries fused, diagonal gates
     lowered to phase vectors, barriers/measurements dropped.  With a noise
-    model the program is layer-ordered with pre-merged Kraus channel ops and
-    **fusion disabled** (channels must keep their positions); it is what
-    :class:`~repro.simulators.density_matrix.DensityMatrixSimulator` executes.
+    model the program is layer-ordered with one superoperator op per noisy
+    slot and **fusion disabled** (channels must keep their positions); it is
+    what :class:`~repro.simulators.density_matrix.DensityMatrixSimulator`
+    executes.
 
     Programs are cached by ``circuit.fingerprint()`` plus the noise model's
     identity and mutation :attr:`~repro.simulators.noise.NoiseModel.version`
     (and the ``fuse`` flag), so an in-place ``add_*`` edit invalidates stale
     programs.  Parametric circuits compile their structure once; use
-    :meth:`CompiledProgram.bind` per parameter vector.
+    :meth:`CompiledProgram.bind` per parameter vector.  ``use_cache=False``
+    compiles without reading or filling the cache, for one-shot circuits
+    that would only evict reusable programs.
     """
     global _COMPILED_COUNT, _HIT_COUNT
     parameters = circuit.ordered_parameters()

@@ -10,6 +10,7 @@ perf fixes (``Gate.matrix`` caching, vectorized ``sample_counts``).
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from repro.simulators.kernels import (statevector_term_expectations,
                                       statevector_term_expectations_batch)
 from repro.simulators.noise import (NoiseModel, RESET_CHANNEL,
                                     amplitude_damping_channel,
-                                    bit_flip_channel, depolarizing_channel)
-from repro.simulators.program import (OP_DIAG, OP_PERM, OP_UNITARY,
+                                    depolarizing_channel)
+from repro.simulators import program as program_module
+from repro.simulators.program import (OP_CHANNEL, OP_DIAG, OP_PERM, OP_UNITARY,
                                       compile_circuit, program_cache_counters,
                                       run_batch, run_interpreted)
 from repro.simulators.statevector import (StatevectorSimulator, Statevector,
@@ -38,6 +40,8 @@ from repro.vqe.clifford_vqe import CliffordVQE
 from repro.vqe.energy import BackendEnergyEvaluator
 from repro.vqe.optimizers import GeneticOptimizer, SPSAOptimizer
 from repro.vqe.runner import VQE
+
+from reference.density_matrix import naive_density_matrix_run
 
 
 # ---------------------------------------------------------------------------
@@ -76,42 +80,6 @@ def random_circuit(num_qubits, depth, rng, pool=_GATE_POOL):
         else:
             getattr(circuit, name)(qubit)
     return circuit
-
-
-def naive_density_matrix_run(simulator, circuit, apply_measure_noise=False):
-    """The pre-compile per-instruction density-matrix loop (reference)."""
-    num_qubits = circuit.num_qubits
-    rho = DensityMatrix.zero_state(num_qubits).data.copy()
-    noise = simulator.noise_model
-    idle = noise.idle_channel if noise is not None else None
-    for layer in circuit.layers():
-        busy = set()
-        for inst in layer:
-            busy.update(inst.qubits)
-            if inst.name == "measure":
-                if apply_measure_noise and noise is not None \
-                        and noise.readout_error > 0:
-                    rho = simulator._apply_channel(
-                        rho, bit_flip_channel(noise.readout_error),
-                        inst.qubits, num_qubits)
-                continue
-            if inst.name == "reset":
-                rho = simulator._apply_reset(rho, inst.qubits[0], num_qubits)
-                continue
-            if inst.name == "barrier":
-                continue
-            rho = simulator._apply_unitary(rho, inst.gate.matrix(),
-                                           inst.qubits, num_qubits)
-            if noise is not None:
-                for channel in noise.gate_channels(inst.name):
-                    rho = simulator._apply_channel(rho, channel, inst.qubits,
-                                                   num_qubits)
-        if idle is not None:
-            for qubit in range(num_qubits):
-                if qubit not in busy:
-                    rho = simulator._apply_channel(rho, idle, (qubit,),
-                                                   num_qubits)
-    return rho
 
 
 def make_noise_model():
@@ -223,7 +191,8 @@ class TestCompiledDensityMatrix:
             compiled = simulator.run(
                 circuit, apply_measure_noise=apply_measure_noise).data
             reference = naive_density_matrix_run(
-                simulator, circuit, apply_measure_noise=apply_measure_noise)
+                simulator.noise_model, circuit,
+                apply_measure_noise=apply_measure_noise)
             np.testing.assert_allclose(compiled, reference, atol=1e-12)
 
     def test_noiseless_run_matches_statevector(self):
@@ -241,6 +210,65 @@ class TestCompiledDensityMatrix:
         rho = np.array([[0.25, 0.1], [0.1, 0.75]], dtype=complex)
         out = RESET_CHANNEL.apply_to_density_matrix(rho)
         np.testing.assert_allclose(out, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
+
+
+class TestChannelSuperoperators:
+    def test_superoperator_is_memoized_and_read_only(self):
+        channel = amplitude_damping_channel(0.2)
+        superop = channel.superoperator()
+        assert channel.superoperator() is superop
+        assert superop.shape == (4, 4) and not superop.flags.writeable
+        with pytest.raises(ValueError):
+            superop[0, 0] = 0.0
+
+    def test_pickle_leaves_the_memo_out(self):
+        # Shard ids digest pickled payloads: filling the memo must not
+        # change the bytes.
+        channel = depolarizing_channel(0.1, 2)
+        before = pickle.dumps(channel)
+        superop = channel.superoperator()
+        assert pickle.dumps(channel) == before
+        clone = pickle.loads(before)
+        np.testing.assert_array_equal(clone.superoperator(), superop)
+        assert not clone.superoperator().flags.writeable
+
+    def test_bound_circuits_share_the_idle_superoperator(self):
+        noise = make_noise_model()
+        idle = noise.idle_channel.superoperator()
+        programs = []
+        for angle in (0.3, -1.1):
+            circuit = QuantumCircuit(3)
+            circuit.h(0).rx(angle, 1).cx(0, 2)
+            programs.append(compile_circuit(circuit, noise_model=noise))
+        assert programs[0] is not programs[1]
+        for program in programs:
+            idle_ops = [op for op in program.ops
+                        if op.kind == OP_CHANNEL and op.qubits == (1,)
+                        and op.data is idle]
+            assert idle_ops  # qubit 1 idles in the cx layer
+
+    def test_gate_channels_multiply_in_application_order(self):
+        first = amplitude_damping_channel(0.3)
+        second = depolarizing_channel(0.2)
+        noise = NoiseModel().add_gate_error(first, ["h"]) \
+            .add_gate_error(second, ["h"])
+        circuit = QuantumCircuit(1)
+        circuit.h(0)
+        (channel_op,) = [op for op in compile_circuit(
+            circuit, noise_model=noise, use_cache=False).ops
+            if op.kind == OP_CHANNEL]
+        np.testing.assert_allclose(
+            channel_op.data, second.compose(first).superoperator(),
+            atol=1e-15)
+
+    def test_density_matrix_run_does_not_fill_the_program_cache(self):
+        circuit = QuantumCircuit(2)
+        circuit.h(0).cx(0, 1).rz(0.123, 1)
+        simulator = DensityMatrixSimulator(make_noise_model())
+        for _ in range(2):
+            size = len(program_module._PROGRAM_CACHE)
+            simulator.run(circuit)
+            assert len(program_module._PROGRAM_CACHE) == size
 
 
 # ---------------------------------------------------------------------------

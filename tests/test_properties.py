@@ -17,6 +17,8 @@ Contracts covered, one test class per contract family:
   ``decode_batch`` — for all five decoder configurations
 * packed vs dense vs streaming Monte-Carlo memory sampling
 * compiled vs interpreted statevector programs (≤ 1e-12)
+* channel superoperators vs the Kraus loop, alone and in compiled noisy
+  programs under the pQEC and NISQ noise models (≤ 1e-12)
 * grouped vs per-term observable readout (≤ 1e-12)
 
 Everything numeric that is *discrete* is compared exactly; only genuinely
@@ -32,6 +34,7 @@ from hypothesis import strategies as st
 
 from repro._bitops import _POPCOUNT_LUT, _WORD_BYTES
 from repro.circuits.circuit import QuantumCircuit
+from repro.core.regimes import NISQRegime, PQECRegime
 from repro.operators.pauli import PauliString, PauliSum
 from repro.qec.bitops import (Mod2GatherPlan, mod2_matmul_packed,
                               mod2_matvec_packed, pack_rows, packed_words,
@@ -47,10 +50,15 @@ from repro.qec.rare_event import (_conditional_include_table,
                                   tilted_probabilities)
 from repro.qec.sampling import (packed_syndromes_and_flips, sample_errors,
                                 sampling_arrays, syndromes_and_flips)
-from repro.simulators.program import compile_circuit, run_interpreted
+from repro.simulators.density_matrix import DensityMatrixSimulator
+from repro.simulators.noise import QuantumChannel
+from repro.simulators.program import (_dm_apply_channel, compile_circuit,
+                                      run_interpreted)
 from repro.simulators.stabilizer import (DenseStabilizerState,
                                          StabilizerSimulator, StabilizerState)
 from repro.simulators.statevector import StatevectorSimulator
+
+from reference.density_matrix import apply_channel, naive_density_matrix_run
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +131,21 @@ def statevector_circuits(draw, max_qubits: int = 4, max_ops: int = 20):
         else:
             getattr(circuit, kind)(q)
     return circuit
+
+
+@st.composite
+def cptp_channels(draw, num_qubits: int):
+    """Random CPTP channels: 1–4 Gaussian Kraus operators, normalized by
+    ``(Σ G†G)^(-1/2)`` so that ``Σ K†K = I``."""
+    dim = 2 ** num_qubits
+    count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    raw = (rng.standard_normal((count, dim, dim))
+           + 1j * rng.standard_normal((count, dim, dim)))
+    values, vectors = np.linalg.eigh(
+        sum(op.conj().T @ op for op in raw))
+    inverse_root = (vectors / np.sqrt(values)) @ vectors.conj().T
+    return QuantumChannel([op @ inverse_root for op in raw], name="random")
 
 
 @st.composite
@@ -416,6 +439,46 @@ class TestProgramProperties:
         interpreted_state = run_interpreted(circuit)
         np.testing.assert_allclose(compiled_state, interpreted_state,
                                    atol=1e-12, rtol=0)
+
+    @given(data=st.data())
+    def test_superoperator_matches_kraus_loop(self, data):
+        k = data.draw(st.integers(1, 2))
+        n = data.draw(st.integers(k, 5))
+        channel = data.draw(cptp_channels(k))
+        # any ordered tuple: reversed and non-adjacent pairs included
+        qubits = tuple(data.draw(st.permutations(range(n)))[:k])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        dim = 2 ** n
+        rho = rng.standard_normal((dim, dim)) \
+            + 1j * rng.standard_normal((dim, dim))
+        np.testing.assert_allclose(
+            _dm_apply_channel(rho, channel.superoperator(), qubits, n),
+            apply_channel(rho, channel, qubits, n), atol=1e-12, rtol=0)
+
+    @given(data=st.data())
+    def test_compose_is_superoperator_product(self, data):
+        k = data.draw(st.integers(1, 2))
+        a = data.draw(cptp_channels(k))
+        b = data.draw(cptp_channels(k))
+        np.testing.assert_allclose(a.compose(b).superoperator(),
+                                   a.superoperator() @ b.superoperator(),
+                                   atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("regime", [PQECRegime(), NISQRegime()],
+                             ids=["pqec", "nisq"])
+    @given(data=st.data())
+    def test_noisy_program_matches_kraus_loop(self, regime, data):
+        circuit = data.draw(statevector_circuits(max_ops=15))
+        n = circuit.num_qubits
+        circuit.reset(data.draw(st.integers(0, n - 1)))
+        circuit.h(data.draw(st.integers(0, n - 1)))
+        circuit.measure_all()
+        noise = regime.noise_model()
+        compiled = DensityMatrixSimulator(noise).run(
+            circuit, apply_measure_noise=True).data
+        np.testing.assert_allclose(
+            compiled, naive_density_matrix_run(noise, circuit, True),
+            atol=1e-12, rtol=0)
 
 
 # ---------------------------------------------------------------------------
