@@ -6,7 +6,12 @@ Three checks on the filesystem shard broker, recorded to ``BENCH_pr9.json``:
   dispatched through a spool served by 1, 2 and 4 ``repro-worker``
   subprocesses; every configuration must match the pooled run bitwise
   (identical point-block payloads) and the inline run to 1e-12, and the
-  per-configuration shards/sec are the committed perf record.
+  per-configuration shards/sec are the committed perf record.  Each
+  configuration's wall clock is split per dispatched shard into
+  *dispatch* (writing task files), *wait* (the parent polling for results
+  after its own block) and *work* (the block's kernel time run
+  in-process); the block the dispatching process runs itself is its own
+  row.
 * **Kill recovery wall-clock** — SIGKILL one of two workers mid-shard via
   the deterministic fault injector; the run must finish with the exact
   clean-run values and the recovery (lease expiry → requeue → surviving
@@ -29,14 +34,17 @@ from repro.ansatz import FullyConnectedAnsatz
 from repro.execution import (ExecutionPolicy, Executor, FilesystemBroker,
                              inject_faults)
 from repro.execution.broker import SpoolLayout
+from repro.execution.executor import _sweep_block_size
 from repro.execution.sharding import (ShardPlanner, ShardRetryPolicy,
-                                      run_sharded)
+                                      _sweep_points_shard, run_sharded)
 from repro.operators import ising_hamiltonian
 
 from conftest import full_mode
 
-QUBITS = 10 if full_mode() else 8
-POINTS = 48 if full_mode() else 24
+# Enough work-sized blocks (2^19 amplitudes each) that the workers get
+# several: 8 blocks of 32 points here, 16 in full mode.
+QUBITS = 14
+POINTS = 512 if full_mode() else 256
 SEED = 20250808
 WORKER_COUNTS = (1, 2, 4)
 BENCH_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -53,6 +61,58 @@ def _sweep_fixture():
     points = rng.standard_normal(
         (POINTS, len(template.ordered_parameters()))).tolist()
     return template, points, ising_hamiltonian(QUBITS)
+
+
+class _TimedSpool(FilesystemBroker):
+    """A spool broker that clocks the dispatching process's phases.
+
+    ``dispatch_s`` is the time spent writing task files, ``parent_s`` the
+    gap between the submit and the first poll (the block the dispatching
+    process runs itself), and ``wait_s`` the time from the first poll to
+    the last result.
+    """
+
+    def __init__(self, spool):
+        super().__init__(spool)
+        self.shards = 0
+        self.dispatch_s = 0.0
+        self._submitted = self._first_poll = self._last_poll = None
+
+    def submit(self, specs):
+        start = time.perf_counter()
+        shard_ids = super().submit(specs)
+        self._submitted = time.perf_counter()
+        self.dispatch_s += self._submitted - start
+        self.shards += len(specs)
+        return shard_ids
+
+    def poll(self, timeout=None):
+        if self._first_poll is None:
+            self._first_poll = time.perf_counter()
+        outcomes = super().poll(timeout)
+        self._last_poll = time.perf_counter()
+        return outcomes
+
+    @property
+    def parent_s(self):
+        return self._first_poll - self._submitted
+
+    @property
+    def wait_s(self):
+        return self._last_poll - self._first_poll
+
+
+def _block_work_seconds(template, points, observable):
+    """Best-of-3 in-process kernel time of one dispatched point block."""
+    block = _sweep_block_size(QUBITS, len(points))
+    payload = (template.without_measurements(), points[block:2 * block],
+               observable, block << QUBITS)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        _sweep_points_shard(*payload)
+        best = min(best, time.perf_counter() - start)
+    return block, best
 
 
 def _spawn_workers(spool, count, *extra):
@@ -106,6 +166,8 @@ def test_spool_sweep_throughput(tmp_path, table_printer):
         template, points, observable, backend="statevector",
         parallel="process", max_workers=2)
 
+    block, work_seconds = _block_work_seconds(template, points, observable)
+
     rows = []
     for count in WORKER_COUNTS:
         spool = tmp_path / f"spool-{count}"
@@ -113,13 +175,14 @@ def test_spool_sweep_throughput(tmp_path, table_printer):
         try:
             _wait_for_census(spool, count)
             executor = Executor(use_cache=False)
+            broker = _TimedSpool(spool)
             start = time.perf_counter()
             # max_workers stays fixed: it shapes the *plan*; the actual
             # concurrency is the number of attached repro-workers.
             values = executor.evaluate_sweep(
                 template, points, observable, backend="statevector",
                 policy=ExecutionPolicy(parallel="process", max_workers=2,
-                                       broker=str(spool)))
+                                       broker=broker))
             seconds = time.perf_counter() - start
         finally:
             _stop_workers(spool, procs)
@@ -127,19 +190,37 @@ def test_spool_sweep_throughput(tmp_path, table_printer):
         assert np.array_equal(values, pooled)
         assert np.allclose(values, inline, atol=1e-12)
         shards = executor.stats.process_shards
-        assert shards > 0 and seconds > 0
+        assert shards == broker.shards == -(-POINTS // block) - 1
+        assert seconds > 0
+        dispatch = broker.dispatch_s / shards
+        wait = broker.wait_s / shards
         rows.append((count, shards, round(seconds, 3),
-                     round(shards / seconds, 1)))
+                     round(shards / seconds, 1), round(dispatch * 1e3, 2),
+                     round(wait * 1e3, 2), round(work_seconds * 1e3, 2)))
         _RECORD[f"spool_sweep_{count}_workers"] = {
             "workers": count, "qubits": QUBITS, "points": POINTS,
             "shards": shards, "seconds": seconds,
             "shards_per_second": shards / seconds,
+            "per_shard_seconds": {"dispatch": dispatch, "wait": wait,
+                                  "work": work_seconds},
+            "parent_block_seconds": broker.parent_s,
+            "poll_interval": broker.poll_interval,
         }
+    parent_seconds = min(
+        _RECORD[f"spool_sweep_{count}_workers"]["parent_block_seconds"]
+        for count in WORKER_COUNTS)
+    rows.append(("parent", 1, round(parent_seconds, 3), "", "", "",
+                 round(work_seconds * 1e3, 2)))
+    _RECORD["spool_sweep_parent_block"] = {
+        "qubits": QUBITS, "points": block, "seconds": parent_seconds,
+        "work_seconds": work_seconds}
     _RECORD["spool_sweep_inline"] = {"qubits": QUBITS, "points": POINTS,
                                      "seconds": inline_seconds}
     table_printer(
-        f"spool sweep throughput ({QUBITS} qubits, {POINTS} points)",
-        ("workers", "shards", "seconds", "shards/sec"), rows)
+        f"spool sweep throughput ({QUBITS} qubits, {POINTS} points, "
+        f"{block}-point blocks)",
+        ("workers", "shards", "seconds", "shards/sec", "dispatch ms/shard",
+         "wait ms/shard", "work ms/shard"), rows)
 
 
 def test_kill_recovery_wall_clock(tmp_path):
@@ -219,8 +300,8 @@ def test_warm_resume_wall_clock(tmp_path):
         policy=policy_for(tmp_path / "spool-resume"))
     resumed_seconds = time.perf_counter() - start
 
-    # The resumed run blocks its 12 uncached points differently than the
-    # cold run blocks all 24, so equality is 1e-12, not bitwise.
+    # The resumed run blocks its uncached half differently than the cold
+    # run blocks the whole sweep, so equality is 1e-12, not bitwise.
     assert np.allclose(resumed_values, cold_values, atol=1e-12)
     # Zero recomputation of the flushed half.
     assert resumed.stats.backend_invocations.get("statevector", 0) \

@@ -34,6 +34,15 @@ against the per-Kraus-operator reference loop in ``tests/reference``.  The
 compiled path must be ≥ 10x faster and agree to 1e-10; the rates go to
 ``BENCH_pr13.json``.
 
+A fifth check gates the default ``auto`` policy on sweeps: over a grid of
+4–1024 points at 8–14 qubits, an ``auto`` sweep (work-sized process blocks,
+the calling process running block 0) must be no more than 10% slower than
+the same sweep inline (median times over 5 interleaved A-B-B-A rounds);
+grid points that fit one block must run the inline call itself, which
+their bitwise-equal values show.  Unit tests beside it
+pin the block function to its inputs and show that the dispatched shard
+payloads are byte-identical across ``max_workers`` and pool vs spool.
+
 Future PRs touching the executor hot path should keep the dedup/cached
 configurations well above the uncached baseline and preserve the grouped
 and batched-sweep speedups.  Set ``REPRO_FULL=1`` for a larger sweep.
@@ -41,13 +50,18 @@ and batched-sweep speedups.  Set ``REPRO_FULL=1`` for a larger sweep.
 
 import json
 import os
+import pickle
 import time
+from hashlib import blake2b
 
 import numpy as np
 
 from repro.ansatz import FullyConnectedAnsatz
 from repro.core.regimes import NISQRegime
-from repro.execution import ExecutionTask, Executor
+from repro.execution import (ExecutionPolicy, ExecutionTask, Executor,
+                             FilesystemBroker, LocalProcessBroker)
+from repro.execution.executor import _sweep_block_size
+from repro.execution.sharding import WORKERS_ENV
 from repro.operators import ising_hamiltonian
 from repro.simulators.density_matrix import DensityMatrixSimulator
 from repro.simulators.kernels import statevector_term_expectations
@@ -65,6 +79,12 @@ GROUPED_POINTS = 8 if full_mode() else 4
 COMPILED_SWEEP_STEPS = 30
 BENCH_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "BENCH_pr3.json")
+#: The auto-vs-inline sweep gate: (qubits, points) spanning 4–1024 points
+#: at 8–14 qubits, and the slowdown ``auto`` may show against inline.
+#: (14, 64) is two work-sized blocks, so one grid point dispatches.
+AUTO_SWEEP_GRID = ((8, 4), (8, 1024), (12, 32), (14, 32), (10, 256),
+                   (14, 64))
+AUTO_SWEEP_SLOWDOWN = 1.10
 #: The density-matrix channel gate: the noisy-DM re-score size of Fig. 13.
 DM_QUBITS = 6
 DM_BENCH_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -367,3 +387,176 @@ def test_density_matrix_channels(benchmark):
         with open(DM_BENCH_JSON, "w") as handle:
             json.dump(record, handle, indent=2, sort_keys=True)
             handle.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# auto vs inline sweeps, and the block function's determinism
+# ---------------------------------------------------------------------------
+
+
+def _sweep_problem(num_qubits, points, seed=11):
+    template = FullyConnectedAnsatz(num_qubits, depth=1).build()
+    rng = np.random.default_rng(seed)
+    parameter_sets = rng.standard_normal(
+        (points, len(template.ordered_parameters()))).tolist()
+    return template, parameter_sets, ising_hamiltonian(num_qubits, 1.0)
+
+
+def run_auto_vs_inline_sweeps():
+    """Per grid point: each policy's median and best time over 5 rounds."""
+    problems = [_sweep_problem(num_qubits, points)
+                for num_qubits, points in AUTO_SWEEP_GRID]
+    samples = {(index, parallel): []
+               for index in range(len(problems))
+               for parallel in ("none", "auto")}
+    values = {}
+    dispatched = {}
+    # Each round visits the whole grid and times both policies in an
+    # A-B-B-A order (alternating which is outer), so drift and the
+    # first-or-second-run advantage hit both alike.  The gate compares
+    # median times: on a 2-CPU box, best-of-5 times of two identical
+    # inline sweeps differed by up to 30% when load came and went between
+    # their samples.  An untimed first round compiles every template and
+    # forks the pool: a fresh fork slows both processes for about two
+    # seconds while copy-on-write pages are copied, a cost paid once per
+    # process.
+    for round_index in range(6):
+        order = (("none", "auto") if round_index % 2
+                 else ("auto", "none"))
+        for index, (template, parameter_sets, hamiltonian) \
+                in enumerate(problems):
+            # A sample times back-to-back calls: several for a tiny sweep,
+            # so timer noise does not swamp a millisecond-scale run, and
+            # two for a sweep that dispatches, as a pool worker idle for a
+            # second or more ran its next block 2x slower here.
+            points = len(parameter_sets)
+            blocks = -(-points // _sweep_block_size(
+                template.num_qubits, points))
+            calls = max(2 if blocks > 1 else 1, 64 // points)
+            for parallel in order + order[::-1]:
+                start = time.perf_counter()
+                for _ in range(calls):
+                    executor = Executor(use_cache=False)
+                    values[index, parallel] = executor.evaluate_sweep(
+                        template, parameter_sets, hamiltonian,
+                        backend="statevector", parallel=parallel)
+                if round_index:
+                    samples[index, parallel].append(
+                        (time.perf_counter() - start) / calls)
+                if parallel == "auto":
+                    dispatched[index] = executor.stats.process_shards
+    rows = []
+    for index, (num_qubits, points) in enumerate(AUTO_SWEEP_GRID):
+        gap = float(np.max(np.abs(np.subtract(values[index, "auto"],
+                                              values[index, "none"]))))
+        inline, auto = samples[index, "none"], samples[index, "auto"]
+        rows.append((num_qubits, points, float(np.median(inline)),
+                     float(np.median(auto)), min(inline), min(auto),
+                     dispatched[index], gap))
+    return rows
+
+
+def test_auto_sweep_no_slower_than_inline(benchmark):
+    rows = benchmark.pedantic(run_auto_vs_inline_sweeps, rounds=1,
+                              iterations=1)
+    print_table(
+        "auto vs inline statevector sweeps (5 interleaved A-B-B-A rounds)",
+        ["qubits", "points", "auto shards", "inline ms (median/best)",
+         "auto ms (median/best)", "auto/inline"],
+        [(qubits, points, shards,
+          f"{inline * 1e3:.1f}/{inline_best * 1e3:.1f}",
+          f"{auto * 1e3:.1f}/{auto_best * 1e3:.1f}", f"{auto / inline:.2f}")
+         for qubits, points, inline, auto, inline_best, auto_best, shards, _
+         in rows])
+    # Only (14, 64) spans two work-sized blocks; the rest run inline.
+    assert [(qubits, points) for qubits, points, *_, shards, _ in rows
+            if shards] == [(14, 64)]
+    for qubits, points, inline, auto, _, _, shards, gap in rows:
+        if shards:
+            assert gap < 1e-12, (qubits, points, gap)
+            assert auto <= AUTO_SWEEP_SLOWDOWN * inline, \
+                (qubits, points, inline, auto)
+        else:
+            # No shard dispatched: auto made the very call inline makes
+            # (bitwise-equal values), so its time can differ from inline
+            # only by noise, which read up to +15% here on identical code.
+            assert gap == 0.0, (qubits, points, gap)
+
+
+def test_sweep_block_size_depends_only_on_its_inputs(monkeypatch):
+    grid = [(qubits, points) for qubits in range(2, 21)
+            for points in (1, 2, 15, 16, 17, 33, 100, 1024, 4096)]
+    expected = {key: _sweep_block_size(*key) for key in grid}
+    for workers in ("1", "2", "4"):
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        assert {key: _sweep_block_size(*key) for key in grid} == expected
+    for (qubits, points), block in expected.items():
+        # 8 workers holding one block each stay within 2^26 amplitudes;
+        # below that bound a block is work-sized (>= 2^19 amplitudes) and
+        # a big sweep splits into at most 16 blocks.
+        bound = max(1, (1 << 23) >> qubits)
+        assert block <= bound
+        assert block >= min(bound, (1 << 19) >> qubits)
+        assert block >= min(bound, -(-points // 16))
+    assert [_sweep_block_size(*key) for key in ((12, 32), (14, 32),
+                                                 (12, 1024), (8, 1024))] \
+        == [128, 32, 128, 2048]
+
+
+def _payload_digest(spec):
+    """The spool's content name of one shard payload."""
+    body = pickle.dumps((spec.fn, spec.payload),
+                        protocol=pickle.HIGHEST_PROTOCOL)
+    return blake2b(body, digest_size=16).hexdigest()
+
+
+class _RecordingPool(LocalProcessBroker):
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.digests = []
+
+    def submit(self, specs):
+        self.digests.extend(_payload_digest(spec) for spec in specs)
+        return super().submit(specs)
+
+
+class _RecordingSpool(FilesystemBroker):
+    def __init__(self, spool):
+        super().__init__(spool, poll_interval=0.005)
+        self.digests = []
+
+    def submit(self, specs):
+        self.digests.extend(_payload_digest(spec) for spec in specs)
+        return super().submit(specs)
+
+
+def test_sweep_payloads_identical_across_workers_and_brokers(tmp_path):
+    template, parameter_sets, hamiltonian = _sweep_problem(12, 384)
+    blocks = -(-len(parameter_sets) // _sweep_block_size(12, 384))
+    assert blocks >= 3
+    runs = {}
+    for name, workers, broker in (
+            ("pool-2", 2, _RecordingPool(2)),
+            ("pool-4", 4, _RecordingPool(4)),
+            ("spool-2", 2, _RecordingSpool(tmp_path / "spool-2")),
+            ("spool-4", 4, _RecordingSpool(tmp_path / "spool-4"))):
+        executor = Executor(use_cache=False)
+        values = executor.evaluate_sweep(
+            template, parameter_sets, hamiltonian, backend="statevector",
+            policy=ExecutionPolicy(parallel="process", max_workers=workers,
+                                   broker=broker))
+        runs[name] = (values, broker.digests, executor.stats.process_shards)
+    reference_values, reference_digests, _ = runs["pool-2"]
+    # The parent's block never reaches a broker.
+    assert len(reference_digests) == blocks - 1
+    for values, digests, shards in runs.values():
+        assert digests == reference_digests
+        assert shards == blocks - 1
+        assert np.array_equal(values, reference_values)
+    # One worker plans inline: no dispatch at all, same values to 1e-12.
+    single = Executor(use_cache=False)
+    values = single.evaluate_sweep(
+        template, parameter_sets, hamiltonian, backend="statevector",
+        parallel="process", max_workers=1)
+    assert single.stats.process_shards == 0
+    assert np.allclose(values, reference_values, atol=1e-12)

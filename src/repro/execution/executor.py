@@ -41,13 +41,38 @@ from .policy import ExecutionPolicy
 from .registry import BackendRegistry, DEFAULT_REGISTRY
 from .router import route_task
 from .sharding import (FaultReport, ShardPlanner, _run_batch_shard,
-                       _sweep_points_shard, resolve_workers, run_sharded,
-                       split_evenly)
+                       _run_process_shards, _sweep_points_shard,
+                       resolve_workers, run_sharded, split_evenly)
 from .task import ExecutionResult, ExecutionTask
 
 #: Upper bound on complex amplitudes one stacked sweep batch may hold
 #: (batch size × 2^n).  64M amplitudes ≈ 1 GB per live temporary.
 _SWEEP_BATCH_AMPLITUDES = 1 << 26
+
+#: Least amplitudes one process-mode sweep block carries.  Measured on a
+#: 2-CPU x86 VM (Python 3.11, numpy 2.4, depth-1 FCHE on the Ising
+#: chain): one pool round trip adds 1.5-5 ms to a block at 8-14 qubits
+#: and the stacked kernel runs 0.2-7 ms per point, but a worker woken
+#: after a second idle, or sharing its CPU with the dispatching process,
+#: cost 5-20% more on blocks of 0.1 s or less.  At 2^19 amplitudes (128
+#: points at 12 qubits: ~170 ms of kernel) two-block sweeps ran at ~0.5x
+#: inline wall time and smaller sweeps stay inline.
+_SWEEP_BLOCK_AMPLITUDES = 1 << 19
+
+
+def _sweep_block_size(num_qubits: int, num_points: int) -> int:
+    """Points per process-mode sweep block: a pure function of the qubit
+    count and the unique-point count, so pooled and spool-brokered sweeps
+    submit byte-identical payloads whatever the worker census.
+
+    A block holds at least ``_SWEEP_BLOCK_AMPLITUDES`` amplitudes, big
+    sweeps still split into ~16 blocks (load balance and checkpoint
+    cadence), and up to 8 concurrent workers each holding one stacked
+    block stay inside the ~1 GB amplitude bound.
+    """
+    return max(1, min(_SWEEP_BATCH_AMPLITUDES // (8 << num_qubits),
+                      max(-(-num_points // 16),
+                          _SWEEP_BLOCK_AMPLITUDES >> num_qubits)))
 
 
 @dataclass
@@ -585,19 +610,26 @@ class Executor:
         Cached values are keyed per ``("sweep", template fingerprint,
         parameter tuple, term)`` — derived without binding a circuit per
         point, which keeps the repeat-query hot path at dictionary-lookup
-        cost.  Process-mode sweeps run their uncached points in
-        fixed-size **point blocks** whose size depends only on the qubit
-        count and the unique-point count — never on the worker count or
-        broker — so pooled and spool-brokered sweeps submit byte-identical
-        shard payloads (a spool's content-named result files stay valid
-        across run shapes, and fine-grained blocks let elastic workers
-        load-balance).  Each block's term values flush through the cache
-        (and its disk tier) **as the block lands**, so a killed
-        multi-worker sweep resumes warm: already-flushed points are served
-        from cache and recompute nothing.  Inline sweeps keep the single
-        compiled batch (one lowering, full stacked vectorisation) — the
-        per-point values are identical either way, so the two shapes can
-        never diverge bitwise.
+        cost.  Process-mode sweeps split their unique uncached points into
+        **work-sized point blocks** (:func:`_sweep_block_size`): each block
+        carries at least ``_SWEEP_BLOCK_AMPLITUDES`` amplitudes, and its
+        size depends only on the qubit count and the unique-point count —
+        never on the worker count or broker — so pooled and spool-brokered
+        sweeps submit byte-identical shard payloads (a spool's
+        content-named result files stay valid across run shapes).  A sweep
+        that fits in one block runs inline and never touches the pool.
+        With two or more blocks, blocks ``1..`` are submitted first and
+        this process runs block 0 itself through the same
+        :func:`~repro.execution.sharding._sweep_points_shard` a worker
+        runs; that block is not a dispatched shard (it is left out of
+        ``stats.process_shards`` and no fault directive applies to it).
+        Each block's term values flush through the cache (and its disk
+        tier) **as the block lands**, so a killed multi-worker sweep
+        resumes warm: already-flushed points are served from cache and
+        recompute nothing.  Stacked kernels are not bitwise invariant to
+        batch composition, so inline and sharded runs of one sweep agree
+        well within 1e-12, while pooled, brokered and any worker count
+        agree bitwise.
         """
         num_points = len(parameter_sets)
         with self._lock:
@@ -640,63 +672,48 @@ class Executor:
                 plan = self.planner.plan(len(unique), hints=("process",),
                                          parallel=effective.parallel,
                                          max_workers=effective.max_workers)
-                if plan.mode == "process" and len(unique) > 1:
-                    # Point-block size: a function of the qubit count and
-                    # the unique-point count alone — never the worker count
-                    # or broker — so block composition (and hence shard
-                    # payload identity) is the same pooled or brokered, and
-                    # stable across a kill/resume with a different worker
-                    # census.  Up to 8 concurrent workers each holding one
-                    # stacked block stay inside the ~1 GB amplitude bound;
-                    # the /16 divisor keeps at least ~16 blocks on big
-                    # sweeps so elastic workers can load-balance and
-                    # checkpoints stay fine-grained.
-                    num_qubits = int(bare_template.num_qubits)
-                    block_size = max(1, min(64,
-                                            _SWEEP_BATCH_AMPLITUDES
-                                            // (8 << num_qubits),
-                                            -(-len(unique) // 16)))
-                    blocks = [unique[start:start + block_size]
-                              for start in range(0, len(unique), block_size)]
-                    # Each block is one shard payload executing as a single
-                    # stacked batch (its amplitude budget is its size).
-                    payloads = [(bare_template,
-                                 [parameter_sets[index] for index in block],
-                                 observable, len(block) << num_qubits)
-                                for block in blocks]
+                num_qubits = int(bare_template.num_qubits)
+                block_size = (_sweep_block_size(num_qubits, len(unique))
+                              if plan.mode == "process" else len(unique))
+                blocks = [unique[start:start + block_size]
+                          for start in range(0, len(unique), block_size)]
+                # Each block is one shard payload executing as stacked
+                # batches of at most its own size.
+                payloads = [(bare_template,
+                             [parameter_sets[index] for index in block],
+                             observable,
+                             min(len(block) << num_qubits,
+                                 _SWEEP_BATCH_AMPLITUDES))
+                            for block in blocks]
 
-                    def flush_block(position: int, block_values) -> None:
-                        """Checkpoint one landed block through the cache."""
-                        entries = []
-                        for row, index in enumerate(blocks[position]):
-                            entries.extend(zip(
-                                cache_keys(point_keys[index]),
-                                (float(v) for v in block_values[row])))
-                        self.cache.put_many(entries)
+                def flush_block(position: int, block_values) -> None:
+                    """Checkpoint one landed block through the cache."""
+                    entries = []
+                    for row, index in enumerate(blocks[position]):
+                        entries.extend(zip(
+                            cache_keys(point_keys[index]),
+                            (float(v) for v in block_values[row])))
+                    self.cache.put_many(entries)
 
-                    row_blocks = run_sharded(
-                        plan, _sweep_points_shard, payloads,
-                        on_result=flush_block if use_cache else None,
-                        **self._shard_kwargs(effective, plan))
-                    unique_values = (row_blocks[0] if len(row_blocks) == 1
-                                     else np.concatenate(row_blocks, axis=0))
-                    with self._lock:
-                        self.stats.process_shards += len(payloads)
-                else:
-                    # Same code path a worker shard runs (compile +
-                    # amplitude-budget chunked batches), executed
-                    # in-process as one compiled batch — one
+                on_result = flush_block if use_cache else None
+                if len(payloads) == 1:
+                    # Same code path a worker shard runs, in-process — one
                     # implementation, so inline and sharded sweeps can
                     # never diverge.
-                    unique_values = _sweep_points_shard(
-                        bare_template,
-                        [parameter_sets[index] for index in unique],
-                        observable, _SWEEP_BATCH_AMPLITUDES)
-                    if use_cache:
-                        for row, index in enumerate(unique):
-                            self.cache.put_many(
-                                zip(cache_keys(point_keys[index]),
-                                    (float(v) for v in unique_values[row])))
+                    row_blocks = [_sweep_points_shard(*payloads[0])]
+                    if on_result is not None:
+                        on_result(0, row_blocks[0])
+                else:
+                    # Blocks 1.. go to the pool or broker; this process
+                    # runs block 0 meanwhile.
+                    row_blocks = _run_process_shards(
+                        plan, _sweep_points_shard, payloads,
+                        on_result=on_result, parent_first=True,
+                        **self._shard_kwargs(effective, plan))
+                    with self._lock:
+                        self.stats.process_shards += len(payloads) - 1
+                unique_values = (row_blocks[0] if len(row_blocks) == 1
+                                 else np.concatenate(row_blocks, axis=0))
                 for index in missing:
                     values_per_point[index] = \
                         unique_values[leaders[point_keys[index]]]

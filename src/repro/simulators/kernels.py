@@ -176,18 +176,23 @@ def statevector_term_expectations_batch(states: np.ndarray,
     indices = np.arange(states.shape[1], dtype=np.int64)
     values = np.empty((states.shape[0], len(x_masks)))
     # Diagonal terms (no X component, so i^{n_Y} = 1) reduce to signed sums
-    # of probabilities; all of them are served by one (B, 2^n) @ (2^n, T_d)
-    # matmul against the parity-sign table.
+    # of probabilities; all of them are served by one (B, 2^n) x (2^n, T_d)
+    # contraction against the parity-sign table.  It is an einsum, not a
+    # BLAS matmul: OpenBLAS threads this GEMM from about 32 rows at 12
+    # qubits, and its helper thread then spins beside the rest of the
+    # readout, which doubled CPU and wall time on a 2-CPU box.
     diagonal = np.flatnonzero(x_masks == 0)
     if len(diagonal):
         parities = _popcount(indices[None, :]
                              & z_masks[diagonal][:, None]).astype(np.int64) & 1
         signs = 1.0 - 2.0 * parities
         probabilities = np.abs(states) ** 2
-        values[:, diagonal] = probabilities @ signs.T
+        values[:, diagonal] = np.einsum("bi,ti->bt", probabilities, signs)
     conj_states = np.conj(states) if len(diagonal) < len(x_masks) else None
     for t in np.flatnonzero(x_masks != 0):
-        signed = _parity_signs(indices, int(z_masks[t])) * states
+        z_mask = int(z_masks[t])
+        signed = (states if z_mask == 0
+                  else _parity_signs(indices, z_mask) * states)
         bras = conj_states[:, indices ^ int(x_masks[t])]
         # einsum contracts without materializing the elementwise product.
         values[:, t] = np.real(phases[t]

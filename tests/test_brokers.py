@@ -41,6 +41,7 @@ from repro.execution import (ExecutionError, ExecutionPolicy, Executor,
                              ShardRetryPolicy, ShardSpec, TransientFault,
                              inject_faults, make_broker, resolve_workers)
 from repro.execution.broker import BROKER_SPOOL_ENV, SpoolLayout
+from repro.execution.executor import _sweep_block_size
 from repro.execution.sharding import (SHARD_RETRIES_ENV, WORKERS_ENV,
                                       ShardPlanner, run_sharded)
 from repro.operators import ising_hamiltonian
@@ -409,7 +410,13 @@ class TestRunShardedFilesystem:
 class TestElasticWorkers:
 
     def test_two_worker_sweep_matches_pooled_and_inline(self, tmp_path):
-        template, points, observable = _sweep_fixture()
+        # 12 qubits x 384 points is three work-sized blocks: the parent
+        # runs one, the workers get two (a 4-qubit sweep would be one
+        # inline block and never reach the spool).
+        template, points, observable = _sweep_fixture(num_qubits=12,
+                                                      points=384)
+        dispatched = -(-len(points) // _sweep_block_size(12, len(points))) - 1
+        assert dispatched >= 2
         inline = Executor(use_cache=False).evaluate_sweep(
             template, points, observable, backend="statevector",
             parallel="none")
@@ -421,7 +428,8 @@ class TestElasticWorkers:
                  for _ in range(2)]
         try:
             _wait_for_census(spool, 2)
-            brokered = Executor(use_cache=False).evaluate_sweep(
+            executor = Executor(use_cache=False)
+            brokered = executor.evaluate_sweep(
                 template, points, observable, backend="statevector",
                 policy=ExecutionPolicy(parallel="process", max_workers=2,
                                        broker=str(spool)))
@@ -434,8 +442,10 @@ class TestElasticWorkers:
         assert np.allclose(brokered, inline, atol=1e-12)
         census = _census(spool)
         assert len(census) == 2
-        # The workers (not the parent steal path) did all twelve blocks.
-        assert sum(record["shards_done"] for record in census) == 12
+        # The workers (not the parent steal path) did every dispatched
+        # block; the parent's own block is not a dispatched shard.
+        assert sum(record["shards_done"] for record in census) == dispatched
+        assert executor.stats.process_shards == dispatched
 
     def test_sigkilled_worker_lease_expires_and_run_recovers(self, tmp_path):
         spool = tmp_path / "spool"
