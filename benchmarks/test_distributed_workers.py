@@ -7,11 +7,9 @@ Three checks on the filesystem shard broker, recorded to ``BENCH_pr9.json``:
   subprocesses; every configuration must match the pooled run bitwise
   (identical point-block payloads) and the inline run to 1e-12, and the
   per-configuration shards/sec are the committed perf record.  Each
-  configuration's wall clock is split per dispatched shard into
-  *dispatch* (writing task files), *wait* (the parent polling for results
-  after its own block) and *work* (the block's kernel time run
-  in-process); the block the dispatching process runs itself is its own
-  row.
+  configuration's wall clock is split per shard into *dispatch* (writing
+  task files), *wait* (the parent polling for results) and *work* (the
+  block's kernel time run in-process).
 * **Kill recovery wall-clock** — SIGKILL one of two workers mid-shard via
   the deterministic fault injector; the run must finish with the exact
   clean-run values and the recovery (lease expiry → requeue → surviving
@@ -66,17 +64,15 @@ def _sweep_fixture():
 class _TimedSpool(FilesystemBroker):
     """A spool broker that clocks the dispatching process's phases.
 
-    ``dispatch_s`` is the time spent writing task files, ``parent_s`` the
-    gap between the submit and the first poll (the block the dispatching
-    process runs itself), and ``wait_s`` the time from the first poll to
-    the last result.
+    ``dispatch_s`` is the time spent writing task files and ``wait_s`` the
+    time from the end of the submit to the last result.
     """
 
     def __init__(self, spool):
         super().__init__(spool)
         self.shards = 0
         self.dispatch_s = 0.0
-        self._submitted = self._first_poll = self._last_poll = None
+        self._submitted = self._last_poll = None
 
     def submit(self, specs):
         start = time.perf_counter()
@@ -87,23 +83,17 @@ class _TimedSpool(FilesystemBroker):
         return shard_ids
 
     def poll(self, timeout=None):
-        if self._first_poll is None:
-            self._first_poll = time.perf_counter()
         outcomes = super().poll(timeout)
         self._last_poll = time.perf_counter()
         return outcomes
 
     @property
-    def parent_s(self):
-        return self._first_poll - self._submitted
-
-    @property
     def wait_s(self):
-        return self._last_poll - self._first_poll
+        return self._last_poll - self._submitted
 
 
 def _block_work_seconds(template, points, observable):
-    """Best-of-3 in-process kernel time of one dispatched point block."""
+    """Best-of-3 in-process kernel time of one point block."""
     block = _sweep_block_size(QUBITS, len(points))
     payload = (template.without_measurements(), points[block:2 * block],
                observable, block << QUBITS)
@@ -190,7 +180,7 @@ def test_spool_sweep_throughput(tmp_path, table_printer):
         assert np.array_equal(values, pooled)
         assert np.allclose(values, inline, atol=1e-12)
         shards = executor.stats.process_shards
-        assert shards == broker.shards == -(-POINTS // block) - 1
+        assert shards == broker.shards == -(-POINTS // block)
         assert seconds > 0
         dispatch = broker.dispatch_s / shards
         wait = broker.wait_s / shards
@@ -203,17 +193,8 @@ def test_spool_sweep_throughput(tmp_path, table_printer):
             "shards_per_second": shards / seconds,
             "per_shard_seconds": {"dispatch": dispatch, "wait": wait,
                                   "work": work_seconds},
-            "parent_block_seconds": broker.parent_s,
             "poll_interval": broker.poll_interval,
         }
-    parent_seconds = min(
-        _RECORD[f"spool_sweep_{count}_workers"]["parent_block_seconds"]
-        for count in WORKER_COUNTS)
-    rows.append(("parent", 1, round(parent_seconds, 3), "", "", "",
-                 round(work_seconds * 1e3, 2)))
-    _RECORD["spool_sweep_parent_block"] = {
-        "qubits": QUBITS, "points": block, "seconds": parent_seconds,
-        "work_seconds": work_seconds}
     _RECORD["spool_sweep_inline"] = {"qubits": QUBITS, "points": POINTS,
                                      "seconds": inline_seconds}
     table_printer(

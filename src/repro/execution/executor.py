@@ -41,8 +41,8 @@ from .policy import ExecutionPolicy
 from .registry import BackendRegistry, DEFAULT_REGISTRY
 from .router import route_task
 from .sharding import (FaultReport, ShardPlanner, _run_batch_shard,
-                       _run_process_shards, _sweep_points_shard,
-                       resolve_workers, run_sharded, split_evenly)
+                       _sweep_points_shard, resolve_workers, run_sharded,
+                       split_evenly)
 from .task import ExecutionResult, ExecutionTask
 
 #: Upper bound on complex amplitudes one stacked sweep batch may hold
@@ -52,12 +52,18 @@ _SWEEP_BATCH_AMPLITUDES = 1 << 26
 #: Least amplitudes one process-mode sweep block carries.  Measured on a
 #: 2-CPU x86 VM (Python 3.11, numpy 2.4, depth-1 FCHE on the Ising
 #: chain): one pool round trip adds 1.5-5 ms to a block at 8-14 qubits
-#: and the stacked kernel runs 0.2-7 ms per point, but a worker woken
-#: after a second idle, or sharing its CPU with the dispatching process,
-#: cost 5-20% more on blocks of 0.1 s or less.  At 2^19 amplitudes (128
-#: points at 12 qubits: ~170 ms of kernel) two-block sweeps ran at ~0.5x
-#: inline wall time and smaller sweeps stay inline.
+#: and the stacked kernel runs 0.2-7 ms per point.  At 2^19 amplitudes
+#: (128 points at 12 qubits: ~170 ms of kernel) dispatch is a few percent
+#: of a block.
 _SWEEP_BLOCK_AMPLITUDES = 1 << 19
+
+#: Fewest work-sized blocks a sweep must span to be dispatched; smaller
+#: sweeps are one block and run inline.  On the same VM, pool workers
+#: woken after a second or more of idling often both landed on one CPU
+#: and stayed there for a whole block: a single call of a two-block sweep
+#: (14 qubits, 64 points) then read 1.12-1.14x its inline time, while
+#: three- and four-block sweeps read 0.3-1.0x inline even so.
+_SWEEP_MIN_BLOCKS = 4
 
 
 def _sweep_block_size(num_qubits: int, num_points: int) -> int:
@@ -65,14 +71,17 @@ def _sweep_block_size(num_qubits: int, num_points: int) -> int:
     count and the unique-point count, so pooled and spool-brokered sweeps
     submit byte-identical payloads whatever the worker census.
 
-    A block holds at least ``_SWEEP_BLOCK_AMPLITUDES`` amplitudes, big
-    sweeps still split into ~16 blocks (load balance and checkpoint
-    cadence), and up to 8 concurrent workers each holding one stacked
-    block stay inside the ~1 GB amplitude bound.
+    A sweep spanning fewer than ``_SWEEP_MIN_BLOCKS`` work-sized blocks is
+    one block.  Otherwise a block holds at least ``_SWEEP_BLOCK_AMPLITUDES``
+    amplitudes, big sweeps still split into ~16 blocks (load balance and
+    checkpoint cadence), and up to 8 concurrent workers each holding one
+    stacked block stay inside the ~1 GB amplitude bound.
     """
+    work = max(1, _SWEEP_BLOCK_AMPLITUDES >> num_qubits)
+    if num_points < _SWEEP_MIN_BLOCKS * work:
+        return max(1, num_points)
     return max(1, min(_SWEEP_BATCH_AMPLITUDES // (8 << num_qubits),
-                      max(-(-num_points // 16),
-                          _SWEEP_BLOCK_AMPLITUDES >> num_qubits)))
+                      max(-(-num_points // 16), work)))
 
 
 @dataclass
@@ -617,19 +626,16 @@ class Executor:
         never on the worker count or broker — so pooled and spool-brokered
         sweeps submit byte-identical shard payloads (a spool's
         content-named result files stay valid across run shapes).  A sweep
-        that fits in one block runs inline and never touches the pool.
-        With two or more blocks, blocks ``1..`` are submitted first and
-        this process runs block 0 itself through the same
+        spanning fewer than ``_SWEEP_MIN_BLOCKS`` such blocks is one block:
+        it runs inline, through the same
         :func:`~repro.execution.sharding._sweep_points_shard` a worker
-        runs; that block is not a dispatched shard (it is left out of
-        ``stats.process_shards`` and no fault directive applies to it).
-        Each block's term values flush through the cache (and its disk
-        tier) **as the block lands**, so a killed multi-worker sweep
-        resumes warm: already-flushed points are served from cache and
-        recompute nothing.  Stacked kernels are not bitwise invariant to
-        batch composition, so inline and sharded runs of one sweep agree
-        well within 1e-12, while pooled, brokered and any worker count
-        agree bitwise.
+        runs, and never touches the pool.  Each block's term values flush
+        through the cache (and its disk tier) **as the block lands**, so a
+        killed multi-worker sweep resumes warm: already-flushed points are
+        served from cache and recompute nothing.  Stacked kernels are not
+        bitwise invariant to batch composition, so inline and sharded runs
+        of one sweep agree well within 1e-12, while pooled, brokered and
+        any worker count agree bitwise.
         """
         num_points = len(parameter_sets)
         with self._lock:
@@ -697,21 +703,17 @@ class Executor:
 
                 on_result = flush_block if use_cache else None
                 if len(payloads) == 1:
-                    # Same code path a worker shard runs, in-process — one
-                    # implementation, so inline and sharded sweeps can
-                    # never diverge.
+                    # The code path a worker shard runs, in-process.
                     row_blocks = [_sweep_points_shard(*payloads[0])]
                     if on_result is not None:
                         on_result(0, row_blocks[0])
                 else:
-                    # Blocks 1.. go to the pool or broker; this process
-                    # runs block 0 meanwhile.
-                    row_blocks = _run_process_shards(
+                    row_blocks = run_sharded(
                         plan, _sweep_points_shard, payloads,
-                        on_result=on_result, parent_first=True,
+                        on_result=on_result,
                         **self._shard_kwargs(effective, plan))
                     with self._lock:
-                        self.stats.process_shards += len(payloads) - 1
+                        self.stats.process_shards += len(payloads)
                 unique_values = (row_blocks[0] if len(row_blocks) == 1
                                  else np.concatenate(row_blocks, axis=0))
                 for index in missing:

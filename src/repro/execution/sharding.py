@@ -23,17 +23,10 @@ This module is the multi-core rung of the ROADMAP:
   run inline.  Per-shard seeding makes retried results bitwise identical,
   and a :class:`FaultReport` describing the recovery is handed to the
   caller's ``on_fault`` callback.
-* The batched sweep dispatches through :func:`_run_process_shards` with
-  ``parent_first=True``: its work-sized point blocks ``1..`` go to the
-  pool or broker first (so a pool forks from the calling thread before any
-  BLAS work), then the calling process runs block 0 itself through the
-  same :func:`_sweep_points_shard`, with its raw payload — no fault
-  directive is consulted for it and it is not a dispatched shard.
 * The module-level ``_*_shard`` functions are the process-pool targets —
   top-level so they pickle by reference; workers receive picklable
   :class:`~repro.execution.task.ExecutionTask` / circuit / observable specs
-  and return plain arrays or result lists.  A worker compiles each sweep
-  template once, however many payloads carry it.
+  and return plain arrays or result lists.
 
 Determinism contract: sharding never changes results.  Deterministic tasks
 are pure functions of the task; stochastic stabilizer ensembles seed **per
@@ -49,7 +42,6 @@ import multiprocessing
 import os
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import (BrokenExecutor, ProcessPoolExecutor,
                                 ThreadPoolExecutor)
 from dataclasses import dataclass, field
@@ -435,8 +427,8 @@ class ShardOutcome:
 
 def _run_supervised(broker, fn: Callable, payloads: Sequence[tuple],
                     policy: ShardRetryPolicy, report: FaultReport,
-                    on_result: Optional[Callable[[int, object], None]] = None,
-                    parent_first: bool = False) -> List:
+                    on_result: Optional[Callable[[int, object], None]] = None
+                    ) -> List:
     """Brokered dispatch with failure detection and shard retry.
 
     Per-shard seeds mean a retried shard reproduces its result bitwise, so
@@ -453,14 +445,9 @@ def _run_supervised(broker, fn: Callable, payloads: Sequence[tuple],
     ``policy.max_retries`` extra rounds the remaining shards run inline
     with their **raw** payloads (never through :func:`_shard_entry` — an
     injected ``kill`` must not execute in the caller's process).
-
-    ``parent_first`` keeps ``payloads[0]`` out of the broker: the first
-    round submits the rest, then the caller runs payload 0's raw payload
-    in-process (no fault directive is consulted for it) and reports it
-    through ``on_result`` before polling for the dispatched shards.
     """
     results: List = [None] * len(payloads)
-    pending = list(range(1 if parent_first else 0, len(payloads)))
+    pending = list(range(len(payloads)))
     expiries: dict = {}
     retries_used = 0
     while pending:
@@ -478,18 +465,6 @@ def _run_supervised(broker, fn: Callable, payloads: Sequence[tuple],
             causes = [type(error).__name__] * len(pending)
             round_respawn = True
             shard_ids = []
-        if parent_first:
-            # Submitted first, so a pool is forked from this thread before
-            # the caller starts its own BLAS work.
-            parent_first = False
-            try:
-                results[0] = fn(*payloads[0])
-            except BaseException:
-                for shard_id in shard_ids:
-                    broker.nack(shard_id, "abandoned")
-                raise
-            if on_result is not None:
-                on_result(0, results[0])
         index_of = {shard_id: spec.index
                     for shard_id, spec in zip(shard_ids, specs)}
         outstanding = dict(index_of)
@@ -612,8 +587,18 @@ def run_sharded(plan: ShardPlan, fn: Callable,
             results.append(value)
         return results
     if plan.mode == "process":
-        return _run_process_shards(plan, fn, payloads, policy, on_fault,
-                                   broker, on_result)
+        if policy is None:
+            policy = ShardRetryPolicy.from_env()
+        if broker is None:
+            from .broker import LocalProcessBroker
+            broker = LocalProcessBroker(plan.workers)
+        report = FaultReport(shards=len(payloads),
+                             broker=getattr(broker, "name", "local"))
+        results = _run_supervised(broker, fn, payloads, policy, report,
+                                  on_result=on_result)
+        if report.faulted and on_fault is not None:
+            on_fault(report)
+        return results
     with ThreadPoolExecutor(
             max_workers=min(plan.workers, len(payloads))) as pool:
         futures = [pool.submit(fn, *payload) for payload in payloads]
@@ -623,37 +608,6 @@ def run_sharded(plan: ShardPlan, fn: Callable,
             if on_result is not None:
                 on_result(index, results[index])
         return results
-
-
-def _run_process_shards(plan: ShardPlan, fn: Callable,
-                        payloads: Sequence[tuple],
-                        policy: Optional[ShardRetryPolicy] = None,
-                        on_fault: Optional[Callable[[FaultReport],
-                                                    None]] = None,
-                        broker=None,
-                        on_result: Optional[Callable[[int, object],
-                                                     None]] = None,
-                        parent_first: bool = False) -> List:
-    """The supervised process branch of :func:`run_sharded`.
-
-    ``parent_first=True`` (the batched sweep's dispatch) runs
-    ``payloads[0]`` in the calling process once ``payloads[1:]`` are
-    submitted, which saves one dispatch and keeps a cold pool's fork and
-    first compile off the critical path.  The report's ``shards`` then
-    counts the dispatched payloads only.
-    """
-    if policy is None:
-        policy = ShardRetryPolicy.from_env()
-    if broker is None:
-        from .broker import LocalProcessBroker
-        broker = LocalProcessBroker(plan.workers)
-    report = FaultReport(shards=len(payloads) - int(parent_first),
-                         broker=getattr(broker, "name", "local"))
-    results = _run_supervised(broker, fn, payloads, policy, report,
-                              on_result=on_result, parent_first=parent_first)
-    if report.faulted and on_fault is not None:
-        on_fault(report)
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -673,42 +627,18 @@ def _term_expectations_shard(backend, tasks) -> list:
             for task in tasks]
 
 
-#: Sweep templates a worker process has compiled, by fingerprint (newest
-#: last).  Each shard payload unpickles fresh ``Parameter`` objects, which
-#: miss the program cache's identity-keyed entries; sweep shards bind
-#: positionally, so the first structurally identical template a worker saw
-#: serves every later payload from the program cache.
-_WORKER_SWEEP_TEMPLATES: "OrderedDict[str, object]" = OrderedDict()
-_WORKER_SWEEP_TEMPLATE_SLOTS = 8
-
-
-def _worker_sweep_template(circuit):
-    """The worker's first-seen template structurally equal to ``circuit``."""
-    key = circuit.fingerprint()
-    known = _WORKER_SWEEP_TEMPLATES.get(key)
-    if known is not None:
-        _WORKER_SWEEP_TEMPLATES.move_to_end(key)
-        return known
-    _WORKER_SWEEP_TEMPLATES[key] = circuit
-    if len(_WORKER_SWEEP_TEMPLATES) > _WORKER_SWEEP_TEMPLATE_SLOTS:
-        _WORKER_SWEEP_TEMPLATES.popitem(last=False)
-    return circuit
-
-
 def _sweep_points_shard(circuit, parameter_sets, observable,
                         amplitude_budget: int) -> np.ndarray:
     """Batched-sweep shard: compile in-process, run a slice of the points.
 
-    Each worker compiles a template once into its own process-wide program
-    cache (first shard pays it, later shards and sweeps of the same template
-    hit), then executes its points in amplitude-budget-bounded stacked
-    batches exactly like the single-process path.
+    Each worker compiles the template once into its own process-wide program
+    cache (first shard pays it, later sweeps of the same template hit), then
+    executes its points in amplitude-budget-bounded stacked batches exactly
+    like the single-process path.
     """
     from ..simulators.kernels import statevector_term_expectations_batch
     from ..simulators.program import compile_circuit, run_batch
 
-    if in_worker_process():
-        circuit = _worker_sweep_template(circuit)
     program = compile_circuit(circuit)
     chunk = max(1, amplitude_budget // (1 << circuit.num_qubits))
     rows: List[np.ndarray] = []

@@ -410,13 +410,12 @@ class TestRunShardedFilesystem:
 class TestElasticWorkers:
 
     def test_two_worker_sweep_matches_pooled_and_inline(self, tmp_path):
-        # 12 qubits x 384 points is three work-sized blocks: the parent
-        # runs one, the workers get two (a 4-qubit sweep would be one
-        # inline block and never reach the spool).
+        # 12 qubits x 512 points is four work-sized blocks (a 4-qubit
+        # sweep would be one inline block and never reach the spool).
         template, points, observable = _sweep_fixture(num_qubits=12,
-                                                      points=384)
-        dispatched = -(-len(points) // _sweep_block_size(12, len(points))) - 1
-        assert dispatched >= 2
+                                                      points=512)
+        blocks = -(-len(points) // _sweep_block_size(12, len(points)))
+        assert blocks >= 2
         inline = Executor(use_cache=False).evaluate_sweep(
             template, points, observable, backend="statevector",
             parallel="none")
@@ -442,10 +441,9 @@ class TestElasticWorkers:
         assert np.allclose(brokered, inline, atol=1e-12)
         census = _census(spool)
         assert len(census) == 2
-        # The workers (not the parent steal path) did every dispatched
-        # block; the parent's own block is not a dispatched shard.
-        assert sum(record["shards_done"] for record in census) == dispatched
-        assert executor.stats.process_shards == dispatched
+        # The workers (not the parent steal path) did every block.
+        assert sum(record["shards_done"] for record in census) == blocks
+        assert executor.stats.process_shards == blocks
 
     def test_sigkilled_worker_lease_expires_and_run_recovers(self, tmp_path):
         spool = tmp_path / "spool"
@@ -476,7 +474,13 @@ class TestElasticWorkers:
         assert exit_codes.count(0) == 1
 
     def test_killed_sweep_resumes_warm_from_checkpoint_cache(self, tmp_path):
-        template, points, observable = _sweep_fixture()
+        # 14 qubits x 256 points: the killed run's 128 points and the
+        # resumed run's 128 uncached points are four work-sized blocks
+        # each, so both go through the spool (smaller sweeps run inline).
+        template, points, observable = _sweep_fixture(num_qubits=14,
+                                                      points=256)
+        half = len(points) // 2
+        assert -(-half // _sweep_block_size(14, half)) >= 2
         inline = Executor(use_cache=False).evaluate_sweep(
             template, points, observable, backend="statevector",
             parallel="none")
@@ -486,17 +490,20 @@ class TestElasticWorkers:
                                  broker=str(spool))
         # A "killed" multi-worker run: only half the sweep's blocks landed
         # (and were flushed through the disk cache) before it died.
-        Executor(cache_dir=str(cache_dir)).evaluate_sweep(
-            template, points[:12], observable, backend="statevector",
-            policy=policy)
+        killed = Executor(cache_dir=str(cache_dir))
+        killed.evaluate_sweep(template, points[:half], observable,
+                              backend="statevector", policy=policy)
+        assert killed.stats.process_shards > 0
         # Resume against the same spool + cache: the flushed points are
         # served from the checkpoint cache, only the rest is computed.
         resumed = Executor(cache_dir=str(cache_dir))
         values = resumed.evaluate_sweep(template, points, observable,
                                         backend="statevector", policy=policy)
         assert np.allclose(values, inline, atol=1e-12)
-        assert resumed.stats.backend_invocations.get("statevector", 0) == 12
+        assert resumed.stats.backend_invocations.get("statevector", 0) \
+            == half
         assert resumed.stats.term_cache_hits > 0
+        assert resumed.stats.process_shards > 0
         # A full re-run recomputes nothing at all.
         rerun = Executor(cache_dir=str(cache_dir))
         again = rerun.evaluate_sweep(template, points, observable,

@@ -38,7 +38,7 @@ from repro.execution.faults import (FAULTS_ENV, FaultInjector, FaultRule,
                                     active_injector, clear_injector,
                                     inject_faults, parse_fault_spec)
 from repro.execution.sharding import (ShardPlanner, ShardRetryPolicy,
-                                      _run_process_shards, run_sharded)
+                                      run_sharded)
 from repro.operators import ising_hamiltonian
 from repro.qec.decoders import MWPMDecoder
 from repro.qec.decoders.graph import (repetition_code_graph,
@@ -62,10 +62,6 @@ def _square(value):
 
 def _boom(value):
     raise ValueError(f"deterministic failure for {value}")
-
-
-def _pid_and_square(value):
-    return os.getpid(), value * value
 
 
 def _process_plan(workers, items):
@@ -269,42 +265,6 @@ class TestSupervisedSharding:
         assert report.inline_shards == 4
         assert sorted(report.inline_indices) == [0, 1, 2, 3]
 
-    def test_parent_first_block_runs_in_the_caller(self):
-        payloads = [(i,) for i in range(4)]
-        plan = _process_plan(2, len(payloads))
-        landed = []
-        results = _run_process_shards(
-            plan, _pid_and_square, payloads,
-            on_result=lambda index, _: landed.append(index),
-            parent_first=True)
-        assert [value for _, value in results] == [0, 1, 4, 9]
-        assert results[0][0] == os.getpid()
-        assert all(pid != os.getpid() for pid, _ in results[1:])
-        assert landed[0] == 0 and sorted(landed) == [0, 1, 2, 3]
-
-    def test_faults_never_apply_to_the_parent_block(self):
-        payloads = [(i,) for i in range(4)]
-        plan = _process_plan(2, len(payloads))
-        reports = []
-        with inject_faults("shard.raise=1") as injector:
-            results = _run_process_shards(
-                plan, _square, payloads, policy=_fast_policy(max_retries=1),
-                on_fault=reports.append, parent_first=True)
-        assert results == [i * i for i in range(4)]
-        # Payload 0 ran raw in the caller: it is no dispatched shard, so it
-        # is never consulted, retried or degraded (3 shards x 2 rounds).
-        assert injector.fired_counts() == {"shard.raise": 6}
-        report = reports[0]
-        assert report.shards == 3
-        assert 0 not in report.retried
-        assert sorted(report.inline_indices) == [1, 2, 3]
-
-    def test_parent_block_error_propagates(self):
-        plan = _process_plan(2, 4)
-        with pytest.raises(ValueError, match="deterministic"):
-            _run_process_shards(plan, _boom, [(i,) for i in range(4)],
-                                policy=_fast_policy(), parent_first=True)
-
     def test_deterministic_errors_propagate_immediately(self):
         plan = _process_plan(2, 4)
         with pytest.raises(ValueError, match="deterministic"):
@@ -332,12 +292,12 @@ class TestSupervisedSharding:
 
 class TestExecutorChaos:
     def test_sweep_sigkill_recovers_bitwise_and_is_counted(self):
-        # 12 qubits x 384 points: three work-sized blocks, two dispatched
-        # (smaller sweeps run inline and never reach the pool).
+        # 12 qubits x 512 points: four work-sized blocks (smaller sweeps
+        # run inline and never reach the pool).
         template = FullyConnectedAnsatz(12, depth=1).build()
         rng = np.random.default_rng(5)
         points = rng.standard_normal(
-            (384, len(template.ordered_parameters()))).tolist()
+            (512, len(template.ordered_parameters()))).tolist()
         hamiltonian = ising_hamiltonian(12, 1.0)
         clean = Executor(use_cache=False).evaluate_sweep(
             template, points, hamiltonian, backend="statevector",
@@ -353,10 +313,10 @@ class TestExecutorChaos:
         assert executor.fault_reports
         assert executor.fault_reports[-1].respawns >= 1
 
-    def test_sweep_faults_skip_the_parent_block(self):
+    def test_sweep_faults_hit_every_dispatched_block(self):
         template = FullyConnectedAnsatz(12, depth=1).build()
         points = np.random.default_rng(6).standard_normal(
-            (384, len(template.ordered_parameters()))).tolist()
+            (512, len(template.ordered_parameters()))).tolist()
         hamiltonian = ising_hamiltonian(12, 1.0)
         policy = ExecutionPolicy(parallel="process", max_workers=2,
                                  retry=_fast_policy(max_retries=1))
@@ -369,11 +329,10 @@ class TestExecutorChaos:
                 template, points, hamiltonian, backend="statevector",
                 policy=policy)
         assert np.array_equal(chaotic, clean)
-        # Three blocks: the parent's is never consulted; the two dispatched
-        # ones fail both rounds and degrade inline.
-        assert injector.fired_counts() == {"shard.raise": 4}
-        assert executor.stats.process_shards == 2
-        assert executor.stats.degraded_shards == 2
+        # Four dispatched blocks fail both rounds and degrade inline.
+        assert injector.fired_counts() == {"shard.raise": 8}
+        assert executor.stats.process_shards == 4
+        assert executor.stats.degraded_shards == 4
 
     def test_qec_sampling_sigkill_recovers_bitwise(self):
         graph = rotated_surface_code_graph(3, 2, 0.01)

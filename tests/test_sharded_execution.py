@@ -9,7 +9,6 @@ capability-hint policy, the ``REPRO_WORKERS`` override, and backend/task
 picklability (the process-pool transport contract).
 """
 
-import collections
 import pickle
 
 import numpy as np
@@ -23,11 +22,9 @@ from repro.execution import (Backend, BackendCapabilities, ExecutionTask,
 from repro.execution import sharding
 from repro.execution.executor import _sweep_block_size
 from repro.execution.sharding import (resolve_workers, shutdown_process_pool,
-                                      split_evenly, _PROCESS_TASK_THRESHOLD,
-                                      _sweep_points_shard)
+                                      split_evenly, _PROCESS_TASK_THRESHOLD)
 from repro.operators import ising_hamiltonian
 from repro.simulators.noise import NoiseModel, depolarizing_channel
-from repro.simulators.program import program_cache_counters
 
 
 def cx_noise():
@@ -193,18 +190,28 @@ class TestDeterminismAcrossWorkersAndModes:
             assert np.allclose(values, reference, atol=1e-12)
 
     def test_sweep_matches_across_modes(self):
-        template = FullyConnectedAnsatz(5, depth=1).build()
+        # 12 qubits x 512 points is four work-sized blocks, so the process
+        # runs really dispatch (a 5-qubit sweep would be one inline block).
+        template = FullyConnectedAnsatz(12, depth=1).build()
+        hamiltonian = ising_hamiltonian(12, 1.0)
         rng = np.random.default_rng(7)
         points = rng.standard_normal(
-            (24, len(template.ordered_parameters()))).tolist()
+            (512, len(template.ordered_parameters()))).tolist()
+        blocks = -(-len(points) // _sweep_block_size(12, len(points)))
+        assert blocks >= 2
         reference = Executor(use_cache=False).evaluate_sweep(
-            template, points, self.hamiltonian, backend="statevector",
+            template, points, hamiltonian, backend="statevector",
             parallel="none")
+        pooled = []
         for workers in (2, 4):
-            values = Executor(use_cache=False).evaluate_sweep(
-                template, points, self.hamiltonian, backend="statevector",
+            executor = Executor(use_cache=False)
+            values = executor.evaluate_sweep(
+                template, points, hamiltonian, backend="statevector",
                 parallel="process", max_workers=workers)
+            assert executor.stats.process_shards == blocks
             assert np.allclose(values, reference, atol=1e-12)
+            pooled.append(values)
+        assert np.array_equal(pooled[0], pooled[1])
 
     def test_noisy_pauli_propagation_matches_across_modes(self):
         circuits = [clifford_circuit(5, flips=(i % 5,)) for i in range(20)]
@@ -239,37 +246,18 @@ class TestProcessDispatchBehaviour:
         assert sharding._pool is None
         assert executor.stats.process_shards == 0
 
-    def test_sweep_counts_dispatched_blocks_only(self):
+    def test_sweep_counts_one_shard_per_block(self):
         template = FullyConnectedAnsatz(12, depth=1).build()
         points = np.random.default_rng(3).standard_normal(
-            (384, len(template.ordered_parameters()))).tolist()
+            (512, len(template.ordered_parameters()))).tolist()
         blocks = -(-len(points) // _sweep_block_size(12, len(points)))
         executor = Executor(use_cache=False)
         executor.evaluate_sweep(template, points, ising_hamiltonian(12, 1.0),
                                 backend="statevector", parallel="process",
                                 max_workers=2)
-        # The calling process runs block 0 itself; only the rest dispatch.
-        assert blocks >= 3
-        assert executor.stats.process_shards == blocks - 1
-        assert executor.stats.backend_invocations == {"statevector": 384}
-
-    def test_worker_compiles_each_sweep_template_once(self, monkeypatch):
-        # Every payload unpickles fresh Parameter objects; a worker must
-        # still compile a structurally identical template only once.
-        monkeypatch.setenv(sharding._WORKER_ENV, "1")
-        monkeypatch.setattr(sharding, "_WORKER_SWEEP_TEMPLATES",
-                            collections.OrderedDict())
-        template = FullyConnectedAnsatz(3, depth=1).build()
-        hamiltonian = ising_hamiltonian(3, 1.0)
-        points = np.random.default_rng(5).standard_normal(
-            (4, len(template.ordered_parameters()))).tolist()
-        payload = pickle.dumps((template, points, hamiltonian, 4 << 3))
-        compiled_before, _ = program_cache_counters()
-        rows = [_sweep_points_shard(*pickle.loads(payload))
-                for _ in range(3)]
-        compiled_after, _ = program_cache_counters()
-        assert compiled_after - compiled_before <= 1
-        assert all(np.array_equal(row, rows[0]) for row in rows)
+        assert blocks >= 2
+        assert executor.stats.process_shards == blocks
+        assert executor.stats.backend_invocations == {"statevector": 512}
 
     def test_auto_mode_runs_small_dense_batches_inline(self):
         executor = Executor(use_cache=False)
